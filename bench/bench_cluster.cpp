@@ -166,8 +166,8 @@ int main() {
       latencies_ms.push_back((res.finish_ns - res.submit_ns) / 1e6);
       if (!bits_equal(res.logits, single_report.results[i].logits)) point.bits_ok = false;
     }
-    point.sim_p50_ms = bench::percentile(latencies_ms, 50.0);
-    point.sim_p95_ms = bench::percentile(latencies_ms, 95.0);
+    point.sim_p50_ms = bench::percentile(latencies_ms, 0.50);
+    point.sim_p95_ms = bench::percentile(latencies_ms, 0.95);
     sweep.push_back(point);
   }
 

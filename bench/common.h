@@ -19,6 +19,7 @@
 #include "data/dataset.h"
 #include "models/trainer.h"
 #include "models/zoo.h"
+#include "tensor/check.h"
 
 namespace pelta::bench {
 
@@ -126,12 +127,13 @@ inline std::int64_t env_int(const char* name, std::int64_t fallback) {
 /// The floored `p*(n-1)` index some dashboards hand-roll understates the
 /// tail (over 200 samples it reads "p95" off the 94.7th percentile);
 /// every bench/example that reports percentiles must go through here.
+/// p is a fraction in [0, 1]; anything else (a "95" meant as percent)
+/// raises pelta::error instead of silently reading the maximum.
 inline double percentile(std::vector<double> values, double p) {
+  PELTA_CHECK_MSG(p >= 0.0 && p <= 1.0, "percentile fraction " << p << " outside [0, 1]");
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  const double clamped = std::min(std::max(p, 0.0), 1.0);
-  const auto rank =
-      static_cast<std::size_t>(std::ceil(clamped * static_cast<double>(values.size())));
+  const auto rank = static_cast<std::size_t>(std::ceil(p * static_cast<double>(values.size())));
   return values[rank == 0 ? 0 : rank - 1];
 }
 

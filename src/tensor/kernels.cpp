@@ -1,221 +1,20 @@
-// Blocked GEMM micro-kernels. See kernels.h for the determinism contract.
-//
-// Structure (shared by the plain and transposed-B entry points):
-//   * k-blocking: the k range is walked in KC-sized blocks, ascending, so a
-//     B column panel stays hot in cache while every row tile reuses it.
-//     Partial sums round-trip through `out` between blocks — a float
-//     store/load, value-exact — and per-element k-order is unchanged.
-//   * Register tiles: MR x W accumulator blocks live across the whole
-//     k-loop of a block, so no partial sum touches memory inside it and
-//     each B row load is reused across MR output rows. The fixed-trip
-//     inner loops auto-vectorize; every path spells the accumulation as the
-//     same `acc += a * b` / masked-select expression, which keeps full
-//     tiles, tails, and any parallel row split bit-identical.
-//   * Zero-skip gate: decided ONCE per call from the operand's finiteness
-//     (kernels.h). Inside a tile the common all-rows-nonzero k-step takes a
-//     branch-free FMA path; a k-step where some row of A is zero falls back
-//     to a masked select `av != 0 ? acc + av*b : acc` — bit-exact with the
-//     classic per-element skip, without a branch in the inner loop.
-//   * Column tails (n % 16) never run narrow scalar loops: the tail columns
-//     are packed into a zero-padded 16-wide panel from the thread's scratch
-//     arena and full-width tiles run over it, storing only the real
-//     columns. Pad lanes cost nothing semantically (they are never stored)
-//     and the real columns see the identical operation sequence.
-//   * Transposed-B: B arrives as [n, k] row-major. Each (KC x 16) panel is
-//     repacked into an L1-resident buffer (blocked transpose, sequential
-//     reads), then the same register tiles run over it. The pack touches
-//     each B element once per sweep and is reused by every row tile —
-//     unlike the old cols_t path, which materialized the full [k, n]
-//     transpose per image with strided writes.
+// Public entry points of the dense kernels and the run-time tier choice.
+// See kernels.h for the determinism contract and kernel_tier.h for the
+// tiers. The loops themselves live in kernel_tier_impl.h, compiled once per
+// tier; this file keeps every check, the zero-skip gate decision and the
+// scratch checkouts, then calls the active tier.
 #include "tensor/kernels.h"
 
-#include <algorithm>
-#include <cstring>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
+#include <atomic>
+#include <cstddef>
 
 #include "tensor/check.h"
+#include "tensor/kernel_tier.h"
 #include "tensor/scratch.h"
 
 namespace pelta::ops::detail {
 
 namespace {
-
-constexpr std::int64_t MR = k_gemm_mr;    // 4  — rows per register tile
-constexpr std::int64_t WMID = k_gemm_nr;  // 16 — packed/mid tile width
-constexpr std::int64_t WMAIN = 4 * WMID;  // 64 — main tile width
-constexpr std::int64_t KC = 1024;         // k-block: B panel KC*WMAIN = 256 KB
-
-// One ROWS x W register tile over k-block rows [0, kc) of B.
-//   a:   ROWS rows, stride lda, k-offset already applied
-//   b:   kc rows, stride ldb (ldb == n on B itself, WMID on a packed panel)
-//   out: ROWS rows, stride ldo; JSTORE columns are written back (JSTORE < W
-//        only for the zero-padded edge panel, whose pad lanes are compute-
-//        only and never touch memory)
-template <int ROWS, std::int64_t W, bool Skip, std::int64_t JSTORE = W>
-inline void gemm_tile(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
-                      float* out, std::int64_t ldo, std::int64_t kc) {
-  static_assert(JSTORE <= W);
-  float acc[ROWS][W];
-  for (int r = 0; r < ROWS; ++r) {
-    for (std::int64_t j = 0; j < JSTORE; ++j) acc[r][j] = out[r * ldo + j];
-    for (std::int64_t j = JSTORE; j < W; ++j) acc[r][j] = 0.0f;  // pad lanes
-  }
-  for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const float* brow = b + kk * ldb;
-    float av[ROWS];
-    bool any_zero = false;
-    for (int r = 0; r < ROWS; ++r) {
-      av[r] = a[r * lda + kk];
-      any_zero |= (av[r] == 0.0f);
-    }
-    // The W == WMID instantiations carry a "GCC unroll 1" pragma: GCC
-    // completely unrolls a bare 16-trip loop into scalar straight-line code
-    // that SLP fails to re-vectorize (observed 15x slowdown); kept
-    // loop-shaped, the loop vectorizer collapses it into full-width vector
-    // ops. The wide instantiations vectorize best as plain loops, so the
-    // two forms are split on W — the expressions are identical.
-    if (!Skip || !any_zero) {
-      // Common case: no zero anywhere in the tile's A column — one
-      // predictable branch guards a pure FMA block.
-      if constexpr (W == WMID) {
-        for (int r = 0; r < ROWS; ++r)
-#pragma GCC unroll 1
-          for (std::int64_t j = 0; j < W; ++j) acc[r][j] = fmadd(av[r], brow[j], acc[r][j]);
-      } else {
-        for (int r = 0; r < ROWS; ++r)
-          for (std::int64_t j = 0; j < W; ++j) acc[r][j] = fmadd(av[r], brow[j], acc[r][j]);
-      }
-    } else {
-      // Some row skips: masked select, bit-exact with skipping the update.
-      if constexpr (W == WMID) {
-        for (int r = 0; r < ROWS; ++r)
-#pragma GCC unroll 1
-          for (std::int64_t j = 0; j < W; ++j)
-            acc[r][j] = av[r] != 0.0f ? fmadd(av[r], brow[j], acc[r][j]) : acc[r][j];
-      } else {
-        for (int r = 0; r < ROWS; ++r)
-          for (std::int64_t j = 0; j < W; ++j)
-            acc[r][j] = av[r] != 0.0f ? fmadd(av[r], brow[j], acc[r][j]) : acc[r][j];
-      }
-    }
-  }
-  for (int r = 0; r < ROWS; ++r)
-    for (std::int64_t j = 0; j < JSTORE; ++j) out[r * ldo + j] = acc[r][j];
-}
-
-// All row tiles of one column panel: MR blocks, then the 3/2/1 remainder
-// through the same template body at smaller ROWS. JSTORE as in gemm_tile.
-template <std::int64_t W, bool Skip, std::int64_t JSTORE = W>
-inline void panel_rows(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
-                       float* out, std::int64_t ldo, std::int64_t kc, std::int64_t m) {
-  std::int64_t i = 0;
-  for (; i + MR <= m; i += MR)
-    gemm_tile<MR, W, Skip, JSTORE>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc);
-  switch (m - i) {
-    case 3: gemm_tile<3, W, Skip, JSTORE>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc); break;
-    case 2: gemm_tile<2, W, Skip, JSTORE>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc); break;
-    case 1: gemm_tile<1, W, Skip, JSTORE>(a + i * lda, lda, b, ldb, out + i * ldo, ldo, kc); break;
-    default: break;
-  }
-}
-
-// Edge panel: the last n % 16 columns, zero-padded to a full 16-wide packed
-// panel (row stride ldb) so the tile loops stay fixed-trip. Dispatch on the
-// store width.
-template <bool Skip>
-void panel_rows_edge(const float* a, std::int64_t lda, const float* panel, std::int64_t ldb,
-                     float* out, std::int64_t ldo, std::int64_t kc, std::int64_t m,
-                     std::int64_t jn) {
-  switch (jn) {
-    case 1: panel_rows<WMID, Skip, 1>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 2: panel_rows<WMID, Skip, 2>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 3: panel_rows<WMID, Skip, 3>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 4: panel_rows<WMID, Skip, 4>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 5: panel_rows<WMID, Skip, 5>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 6: panel_rows<WMID, Skip, 6>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 7: panel_rows<WMID, Skip, 7>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 8: panel_rows<WMID, Skip, 8>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 9: panel_rows<WMID, Skip, 9>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 10: panel_rows<WMID, Skip, 10>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 11: panel_rows<WMID, Skip, 11>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 12: panel_rows<WMID, Skip, 12>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 13: panel_rows<WMID, Skip, 13>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 14: panel_rows<WMID, Skip, 14>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    case 15: panel_rows<WMID, Skip, 15>(a, lda, panel, ldb, out, ldo, kc, m); break;
-    default: break;
-  }
-}
-
-template <bool Skip>
-void gemm_blocked(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
-                  std::int64_t n) {
-  const std::int64_t jn_edge = n % WMID;
-  scratch_buffer panel_buf;
-  if (jn_edge != 0)
-    panel_buf = scratch_arena::local().take(static_cast<std::size_t>(KC * WMID));
-  for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
-    const std::int64_t kc = std::min(KC, k - k0);
-    const float* ablk = a + k0;
-    const float* bblk = b + k0 * n;
-    std::int64_t j = 0;
-    for (; j + WMAIN <= n; j += WMAIN)
-      panel_rows<WMAIN, Skip>(ablk, k, bblk + j, n, out + j, n, kc, m);
-    for (; j + WMID <= n; j += WMID)
-      panel_rows<WMID, Skip>(ablk, k, bblk + j, n, out + j, n, kc, m);
-    if (j < n) {
-      // Pack the ragged edge columns, zero-padded to WMID.
-      float* panel = panel_buf.data();
-      for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const float* src = bblk + kk * n + j;
-        float* dst = panel + kk * WMID;
-        for (std::int64_t jj = 0; jj < jn_edge; ++jj) dst[jj] = src[jj];
-        for (std::int64_t jj = jn_edge; jj < WMID; ++jj) dst[jj] = 0.0f;
-      }
-      panel_rows_edge<Skip>(ablk, k, panel, WMID, out + j, n, kc, m, jn_edge);
-    }
-  }
-}
-
-template <bool Skip>
-void gemm_bt_blocked(const float* a, const float* bt, float* out, std::int64_t m, std::int64_t k,
-                     std::int64_t n) {
-  // Cache-resident pack buffer for one (kc x WMAIN) B panel, reused across
-  // the whole call — and across calls, via the thread's arena.
-  scratch_buffer panel_buf = scratch_arena::local().take(static_cast<std::size_t>(KC * WMAIN));
-  float* panel = panel_buf.data();
-  for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
-    const std::int64_t kc = std::min(KC, k - k0);
-    const float* ablk = a + k0;
-    for (std::int64_t j = 0; j < n; j += WMAIN) {
-      const std::int64_t jw = std::min(WMAIN, n - j);
-      // Blocked transpose of B rows [j, j+jw) x k-range [k0, k0+kc): reads
-      // are sequential along each B row; the ragged tail of the last
-      // 16-wide lane group is zero-padded.
-      const std::int64_t jw_pad = (jw + WMID - 1) / WMID * WMID;
-      for (std::int64_t jj = 0; jj < jw; ++jj) {
-        const float* src = bt + (j + jj) * k + k0;
-        for (std::int64_t kk = 0; kk < kc; ++kk) panel[kk * WMAIN + jj] = src[kk];
-      }
-      if (jw < jw_pad)
-        for (std::int64_t kk = 0; kk < kc; ++kk)
-          for (std::int64_t jj = jw; jj < jw_pad; ++jj) panel[kk * WMAIN + jj] = 0.0f;
-      // Full-width tiles over the packed panel (ldb = WMAIN), then 16-wide
-      // lane groups, then the store-masked edge.
-      if (jw == WMAIN) {
-        panel_rows<WMAIN, Skip>(ablk, k, panel, WMAIN, out + j, n, kc, m);
-      } else {
-        std::int64_t js = 0;
-        for (; js + WMID <= jw; js += WMID)
-          panel_rows<WMID, Skip>(ablk, k, panel + js, WMAIN, out + j + js, n, kc, m);
-        if (js < jw)
-          panel_rows_edge<Skip>(ablk, k, panel + js, WMAIN, out + j + js, n, kc, m, jw - js);
-      }
-    }
-  }
-}
 
 bool any_zero_in(const float* p, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i)
@@ -223,193 +22,84 @@ bool any_zero_in(const float* p, std::int64_t count) {
   return false;
 }
 
-// ---- int8 quantized GEMM ----------------------------------------------------
-//
-// Mirrors the fp32 structure above — MR x 16 register tiles, k-blocking,
-// zero-padded packed edge panels — but every accumulation is int32 and
-// therefore exactly associative: no zero-skip gate, no fmadd policy, and
-// bit-identity across tile shapes, ISAs and thread splits holds by
-// construction rather than by rounding-sequence discipline. The operand
-// encoding (shifted-u8 A, 7-bit s8 B, -128*colsum compensation base) is
-// documented in kernels.h.
+// Supported tiers, ascending.
+struct tier_list {
+  kernel_tier tiers[3] = {};
+  std::size_t count = 0;
+};
 
-constexpr std::int64_t KGQ = k_qgemm_kg;  // 4 k-bytes per group (one vpmaddubsw lane)
-constexpr std::int64_t NRQ = k_qgemm_nr;  // 16-column packed panels
-constexpr std::int64_t KCQ = 256;         // k-groups per block: 1024 k, 16 KB panel block
-
-#if defined(__AVX512VNNI__) && defined(__AVX512F__)
-
-// One ROWS x 16 tile, 512-bit VNNI form: a packed k-group is exactly one
-// zmm (16 columns x 4 k-bytes), so each (group, row) step is a single
-// vpdpbusd — u8*s8 quads summed straight into the 16 int32 column lanes,
-// the same exact integers as the AVX2 and scalar forms. Edge panels use
-// lane masks instead of staging buffers; masked-off lanes load as zero and
-// are never stored.
-template <int ROWS>
-inline void qgemm_tile_vnni512(const std::uint8_t* a, std::int64_t lda, const std::int8_t* panel,
-                               std::int32_t* out, std::int64_t ldo, std::int64_t groups,
-                               std::int64_t jn) {
-  const __mmask16 lanes = static_cast<__mmask16>((1u << jn) - 1u);
-  __m512i acc[ROWS];
-  for (int r = 0; r < ROWS; ++r) acc[r] = _mm512_maskz_loadu_epi32(lanes, out + r * ldo);
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const __m512i b = _mm512_loadu_si512(panel + g * NRQ * KGQ);
-    for (int r = 0; r < ROWS; ++r) {
-      std::int32_t a4;
-      std::memcpy(&a4, a + r * lda + g * KGQ, sizeof(a4));
-      acc[r] = _mm512_dpbusd_epi32(acc[r], _mm512_set1_epi32(a4), b);
-    }
+// Whether this build contains tier t and this CPU (and OS) can run it.
+// PELTA_KERNEL_TIERS_X86 is defined by src/tensor/CMakeLists.txt when it
+// builds the avx2 and avx512 translation units (x86 with GCC or Clang).
+bool cpu_runs(kernel_tier t) {
+#if defined(PELTA_KERNEL_TIERS_X86)
+  __builtin_cpu_init();
+  switch (t) {
+    case kernel_tier::baseline: return true;
+    case kernel_tier::avx2: return __builtin_cpu_supports("avx2");
+    case kernel_tier::avx512:
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("avx512vnni");
   }
-  for (int r = 0; r < ROWS; ++r) _mm512_mask_storeu_epi32(out + r * ldo, lanes, acc[r]);
-}
-
-#elif defined(__AVX2__)
-
-// One ROWS x 16 tile over `groups` k-groups of a packed panel. Per group a
-// row contributes 4 consecutive shifted-u8 bytes, broadcast as one 32-bit
-// lane. With VNNI one vpdpbusd forms the u8*s8 quad dot product straight
-// into the int32 column lanes; the plain-AVX2 fallback gets the same exact
-// integers from vpmaddubsw (|pair| <= 2*255*63 = 32130 < 2^15, so the
-// int16 stage cannot saturate) widened by vpmaddwd.
-template <int ROWS>
-inline void qgemm_tile_avx2(const std::uint8_t* a, std::int64_t lda, const std::int8_t* panel,
-                            std::int32_t* out, std::int64_t ldo, std::int64_t groups,
-                            std::int64_t jn) {
-  __m256i accl[ROWS];  // columns 0..7
-  __m256i acch[ROWS];  // columns 8..15
-  if (jn == NRQ) {
-    for (int r = 0; r < ROWS; ++r) {
-      accl[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + r * ldo));
-      acch[r] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + r * ldo + 8));
-    }
-  } else {
-    alignas(32) std::int32_t tmp[NRQ];
-    for (int r = 0; r < ROWS; ++r) {
-      for (std::int64_t j = 0; j < jn; ++j) tmp[j] = out[r * ldo + j];
-      for (std::int64_t j = jn; j < NRQ; ++j) tmp[j] = 0;  // pad lanes, never stored
-      accl[r] = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
-      acch[r] = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp + 8));
-    }
-  }
-#if !(defined(__AVX512VNNI__) && defined(__AVX512VL__)) && !defined(__AVXVNNI__)
-  const __m256i ones = _mm256_set1_epi16(1);
-#endif
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(panel + g * NRQ * KGQ));
-    const __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(panel + g * NRQ * KGQ + 32));
-    for (int r = 0; r < ROWS; ++r) {
-      std::int32_t a4;
-      std::memcpy(&a4, a + r * lda + g * KGQ, sizeof(a4));
-      const __m256i av = _mm256_set1_epi32(a4);
-#if defined(__AVX512VNNI__) && defined(__AVX512VL__)
-      accl[r] = _mm256_dpbusd_epi32(accl[r], av, b0);
-      acch[r] = _mm256_dpbusd_epi32(acch[r], av, b1);
-#elif defined(__AVXVNNI__)
-      accl[r] = _mm256_dpbusd_avx_epi32(accl[r], av, b0);
-      acch[r] = _mm256_dpbusd_avx_epi32(acch[r], av, b1);
+  return false;
 #else
-      const __m256i p0 = _mm256_maddubs_epi16(av, b0);
-      const __m256i p1 = _mm256_maddubs_epi16(av, b1);
-      accl[r] = _mm256_add_epi32(accl[r], _mm256_madd_epi16(p0, ones));
-      acch[r] = _mm256_add_epi32(acch[r], _mm256_madd_epi16(p1, ones));
-#endif
-    }
-  }
-  if (jn == NRQ) {
-    for (int r = 0; r < ROWS; ++r) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + r * ldo), accl[r]);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + r * ldo + 8), acch[r]);
-    }
-  } else {
-    alignas(32) std::int32_t tmp[NRQ];
-    for (int r = 0; r < ROWS; ++r) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), accl[r]);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + 8), acch[r]);
-      for (std::int64_t j = 0; j < jn; ++j) out[r * ldo + j] = tmp[j];
-    }
-  }
-}
-
-#else
-
-// Portable tile: same packed layout, same per-group 4-byte dot products,
-// int32 from the first multiply — integer-exact, so bitwise identical to
-// the AVX2 instantiation (pad products are exact zeros on both paths).
-template <int ROWS>
-inline void qgemm_tile_scalar(const std::uint8_t* a, std::int64_t lda, const std::int8_t* panel,
-                              std::int32_t* out, std::int64_t ldo, std::int64_t groups,
-                              std::int64_t jn) {
-  std::int32_t iacc[ROWS][NRQ];
-  for (int r = 0; r < ROWS; ++r) {
-    for (std::int64_t j = 0; j < jn; ++j) iacc[r][j] = out[r * ldo + j];
-    for (std::int64_t j = jn; j < NRQ; ++j) iacc[r][j] = 0;  // pad lanes
-  }
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const std::int8_t* bg = panel + g * NRQ * KGQ;
-    for (int r = 0; r < ROWS; ++r) {
-      const std::uint8_t* ag = a + r * lda + g * KGQ;
-      for (std::int64_t j = 0; j < NRQ; ++j) {
-        const std::int8_t* bj = bg + j * KGQ;
-        iacc[r][j] += static_cast<std::int32_t>(ag[0]) * bj[0] +
-                      static_cast<std::int32_t>(ag[1]) * bj[1] +
-                      static_cast<std::int32_t>(ag[2]) * bj[2] +
-                      static_cast<std::int32_t>(ag[3]) * bj[3];
-      }
-    }
-  }
-  for (int r = 0; r < ROWS; ++r)
-    for (std::int64_t j = 0; j < jn; ++j) out[r * ldo + j] = iacc[r][j];
-}
-
-#endif
-
-template <int ROWS>
-inline void qgemm_tile(const std::uint8_t* a, std::int64_t lda, const std::int8_t* panel,
-                       std::int32_t* out, std::int64_t ldo, std::int64_t groups,
-                       std::int64_t jn) {
-#if defined(__AVX512VNNI__) && defined(__AVX512F__)
-  qgemm_tile_vnni512<ROWS>(a, lda, panel, out, ldo, groups, jn);
-#elif defined(__AVX2__)
-  qgemm_tile_avx2<ROWS>(a, lda, panel, out, ldo, groups, jn);
-#else
-  qgemm_tile_scalar<ROWS>(a, lda, panel, out, ldo, groups, jn);
+  return t == kernel_tier::baseline;
 #endif
 }
 
-// Primary row-tile height. The 512-bit VNNI tile holds one zmm accumulator
-// per row (32 registers available), so 8 rows amortize the panel load and
-// keep 8 independent vpdpbusd dependency chains in flight; the ymm forms
-// need two accumulators per row and stay at the fp32 MR to fit 16
-// registers.
-#if defined(__AVX512VNNI__) && defined(__AVX512F__)
-constexpr std::int64_t MRQ = 8;
-#else
-constexpr std::int64_t MRQ = MR;
-#endif
+const tier_list& supported() {
+  static const tier_list list = [] {
+    tier_list l;
+    for (kernel_tier t : {kernel_tier::baseline, kernel_tier::avx2, kernel_tier::avx512})
+      if (cpu_runs(t)) l.tiers[l.count++] = t;
+    return l;
+  }();
+  return list;
+}
 
-// All row tiles of one packed column panel: MRQ blocks, then the remainder
-// — the fp32 panel_rows shape, minus Skip/JSTORE templating (the store
-// mask is the runtime `jn`; integer results cannot drift).
-void qgemm_panel_rows(const std::uint8_t* a, std::int64_t lda, const std::int8_t* panel,
-                      std::int32_t* out, std::int64_t ldo, std::int64_t groups, std::int64_t m,
-                      std::int64_t jn) {
-  std::int64_t i = 0;
-  for (; i + MRQ <= m; i += MRQ)
-    qgemm_tile<MRQ>(a + i * lda, lda, panel, out + i * ldo, ldo, groups, jn);
-  switch (m - i) {
-    case 7: qgemm_tile<7>(a + i * lda, lda, panel, out + i * ldo, ldo, groups, jn); break;
-    case 6: qgemm_tile<6>(a + i * lda, lda, panel, out + i * ldo, ldo, groups, jn); break;
-    case 5: qgemm_tile<5>(a + i * lda, lda, panel, out + i * ldo, ldo, groups, jn); break;
-    case 4: qgemm_tile<4>(a + i * lda, lda, panel, out + i * ldo, ldo, groups, jn); break;
-    case 3: qgemm_tile<3>(a + i * lda, lda, panel, out + i * ldo, ldo, groups, jn); break;
-    case 2: qgemm_tile<2>(a + i * lda, lda, panel, out + i * ldo, ldo, groups, jn); break;
-    case 1: qgemm_tile<1>(a + i * lda, lda, panel, out + i * ldo, ldo, groups, jn); break;
-    default: break;
+std::atomic<kernel_tier>& active_slot() {
+  static std::atomic<kernel_tier> slot{supported().tiers[supported().count - 1]};
+  return slot;
+}
+
+const kernel_tier_fns& fns_of(kernel_tier t) {
+  switch (t) {
+#if defined(PELTA_KERNEL_TIERS_X86)
+    case kernel_tier::avx2: return tier_avx2::fns;
+    case kernel_tier::avx512: return tier_avx512::fns;
+#endif
+    default: return tier_baseline::fns;
   }
 }
 
 }  // namespace
+
+const char* kernel_tier_name(kernel_tier t) {
+  switch (t) {
+    case kernel_tier::baseline: return "baseline";
+    case kernel_tier::avx2: return "avx2";
+    case kernel_tier::avx512: return "avx512";
+  }
+  return "unknown";
+}
+
+std::span<const kernel_tier> supported_kernel_tiers() {
+  return {supported().tiers, supported().count};
+}
+
+kernel_tier active_kernel_tier() { return active_slot().load(); }
+
+const kernel_tier_fns& active_kernel_fns() { return fns_of(active_kernel_tier()); }
+
+scoped_kernel_tier::scoped_kernel_tier(kernel_tier t) {
+  PELTA_CHECK_MSG(cpu_runs(t), "kernel tier " << kernel_tier_name(t) << " is not supported here");
+  previous_ = active_slot().exchange(t);
+}
+
+scoped_kernel_tier::~scoped_kernel_tier() {
+  active_slot().store(previous_);
+}
 
 void gemm_accumulate(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
                      std::int64_t n, finite_cache& b_finite) {
@@ -419,22 +109,28 @@ void gemm_accumulate(const float* a, const float* b, float* out, std::int64_t m,
   // skip, so — exactly like the old lazy gate — it neither consults nor
   // scans B, and it runs the branch-free dense path outright. Only a call
   // whose A contains zeros pays the (cached, once-per-operand) B scan.
-  if (any_zero_in(a, m * k) && b_finite.check(b, k * n))
-    gemm_blocked<true>(a, b, out, m, k, n);
-  else
-    gemm_blocked<false>(a, b, out, m, k, n);
+  const bool skip = any_zero_in(a, m * k) && b_finite.check(b, k * n);
+  // Ragged n % 16 edge columns are packed into a zero-padded panel.
+  scratch_buffer panel;
+  if (n % k_gemm_nr != 0)
+    panel = scratch_arena::local().take(static_cast<std::size_t>(k_gemm_kc * k_gemm_nr));
+  active_kernel_fns().gemm(a, b, out, m, k, n, skip, panel.data());
 }
 
 void gemm_accumulate_bt(const float* a, const float* bt, float* out, std::int64_t m,
                         std::int64_t k, std::int64_t n, finite_cache& bt_finite) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  if (any_zero_in(a, m * k) && bt_finite.check(bt, n * k))
-    gemm_bt_blocked<true>(a, bt, out, m, k, n);
-  else
-    gemm_bt_blocked<false>(a, bt, out, m, k, n);
+  const bool skip = any_zero_in(a, m * k) && bt_finite.check(bt, n * k);
+  // Cache-resident pack buffer for one (kc x 64) B panel, reused across the
+  // whole call — and across calls, via the thread's arena.
+  scratch_buffer panel =
+      scratch_arena::local().take(static_cast<std::size_t>(k_gemm_kc * k_gemm_wide));
+  active_kernel_fns().gemm_bt(a, bt, out, m, k, n, skip, panel.data());
 }
 
 void qgemm_pack_b(const std::int8_t* b, std::int64_t k, std::int64_t n, std::int8_t* packed) {
+  constexpr std::int64_t NRQ = k_qgemm_nr;
+  constexpr std::int64_t KGQ = k_qgemm_kg;
   const std::int64_t groups = qgemm_k_groups(k);
   const std::int64_t panels = (n + NRQ - 1) / NRQ;
   for (std::int64_t p = 0; p < panels; ++p) {
@@ -464,15 +160,7 @@ void qgemm(const std::uint8_t* a, std::int64_t lda, const std::int8_t* packed,
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t j = 0; j < n; ++j) out[i * n + j] = -128 * colsum[j];
   if (k <= 0) return;
-  const std::int64_t groups = qgemm_k_groups(k);
-  for (std::int64_t g0 = 0; g0 < groups; g0 += KCQ) {
-    const std::int64_t gc = std::min(KCQ, groups - g0);
-    const std::uint8_t* ablk = a + g0 * KGQ;
-    for (std::int64_t j = 0, p = 0; j < n; j += NRQ, ++p) {
-      const std::int8_t* panel = packed + (p * groups + g0) * NRQ * KGQ;
-      qgemm_panel_rows(ablk, lda, panel, out + j, n, gc, m, std::min(NRQ, n - j));
-    }
-  }
+  active_kernel_fns().qgemm(a, lda, packed, out, m, qgemm_k_groups(k), n);
 }
 
 }  // namespace pelta::ops::detail

@@ -33,8 +33,10 @@ inline constexpr std::int64_t k_gemm_nr = 16;  // columns per register tile
 /// the identical rounding sequence no matter which instantiation computed
 /// it. Without this, -ffp-contract is free to fuse some paths and not
 /// others, silently breaking bit-identity between tile shapes (and with it
-/// the across-PELTA_THREADS guarantee) on FMA targets.
-inline float fmadd(float a, float b, float c) {
+/// the across-PELTA_THREADS guarantee) on FMA targets. Always inlined, so
+/// the ISA-flagged kernel tiers (kernel_tier.h) never emit an out-of-line
+/// copy that the linker could hand to baseline callers.
+[[gnu::always_inline]] inline float fmadd(float a, float b, float c) {
 #if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
   return std::fma(a, b, c);
 #else

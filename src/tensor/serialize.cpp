@@ -36,6 +36,14 @@ tensor deserialize_tensor(const byte_buffer& buf, std::size_t& offset) {
   shape_t shape(static_cast<std::size_t>(rank));
   for (auto& d : shape) read_raw(buf, offset, &d, sizeof(d));
   const std::int64_t n = numel_of(shape);
+  // Size the payload against the bytes actually present before allocating:
+  // a hostile header claiming 2^40 elements must fail as a truncated
+  // buffer, not as std::bad_alloc.
+  const std::size_t remaining = buf.size() - offset;
+  PELTA_CHECK_MSG(static_cast<std::uint64_t>(n) <= remaining / sizeof(float),
+                  "truncated tensor buffer: shape " << to_string(shape) << " needs " << n
+                                                    << " floats, " << remaining
+                                                    << " bytes remain");
   std::vector<float> data(static_cast<std::size_t>(n));
   read_raw(buf, offset, data.data(), data.size() * sizeof(float));
   return tensor{std::move(shape), std::move(data)};

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <string>
@@ -15,16 +16,6 @@ namespace pelta {
 /// Row-major tensor shape. Empty shape denotes a scalar (numel == 1).
 using shape_t = std::vector<std::int64_t>;
 
-/// Number of elements described by a shape (product of extents).
-inline std::int64_t numel_of(const shape_t& s) {
-  std::int64_t n = 1;
-  for (std::int64_t d : s) {
-    PELTA_CHECK_MSG(d >= 0, "negative extent " << d);
-    n *= d;
-  }
-  return n;
-}
-
 /// Human-readable shape, e.g. "[2, 3, 4]".
 inline std::string to_string(const shape_t& s) {
   std::string out = "[";
@@ -34,6 +25,20 @@ inline std::string to_string(const shape_t& s) {
   }
   out += "]";
   return out;
+}
+
+/// Number of elements described by a shape (product of extents). A product
+/// that overflows int64 raises pelta::error: shapes can come off the wire
+/// (tensor/serialize.h), and a wrapped count must never read as valid.
+inline std::int64_t numel_of(const shape_t& s) {
+  std::int64_t n = 1;
+  for (std::int64_t d : s) {
+    PELTA_CHECK_MSG(d >= 0, "negative extent " << d);
+    PELTA_CHECK_MSG(d == 0 || n <= std::numeric_limits<std::int64_t>::max() / d,
+                    "element count of shape " << to_string(s) << " overflows int64");
+    n *= d;
+  }
+  return n;
 }
 
 inline std::ostream& operator<<(std::ostream& os, const shape_t& s) {

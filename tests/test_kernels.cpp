@@ -1,5 +1,8 @@
 // Kernel suite for the blocked GEMM micro-kernels and the scratch arena.
 //
+// The BlockedGemm cases run once per kernel tier the host supports
+// (kernel_tier_param.h), each against the same frozen reference.
+//
 // The blocked kernels promise bit-identity with the classic i-k-j loop on
 // every path (full register tiles, row tails, column tails, any row split a
 // parallel chunking might produce) — each case here compares against a
@@ -9,12 +12,14 @@
 // cross threads even on single-core hosts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#include "kernel_tier_param.h"
 #include "reference_kernels.h"
 #include "tensor/conv.h"
 #include "tensor/kernels.h"
@@ -52,7 +57,29 @@ bool bits_equal(const std::vector<float>& x, const std::vector<float>& y) {
          (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0);
 }
 
-TEST(BlockedGemm, BitEqualsReferenceOnEdgeShapes) {
+class BlockedGemm : public kernel_tier_test {};
+INSTANTIATE_TEST_SUITE_P(Tiers, BlockedGemm, every_kernel_tier(), kernel_tier_param_name);
+
+TEST(KernelTier, SelectsTheWidestSupportedTier) {
+  using ops::detail::kernel_tier;
+  const auto tiers = ops::detail::supported_kernel_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), kernel_tier::baseline);
+  for (std::size_t i = 1; i < tiers.size(); ++i) EXPECT_LT(tiers[i - 1], tiers[i]);
+  EXPECT_EQ(ops::detail::active_kernel_tier(), tiers.back());
+  {
+    ops::detail::scoped_kernel_tier guard{kernel_tier::baseline};
+    EXPECT_EQ(ops::detail::active_kernel_tier(), kernel_tier::baseline);
+  }
+  EXPECT_EQ(ops::detail::active_kernel_tier(), tiers.back());
+  for (kernel_tier t : {kernel_tier::avx2, kernel_tier::avx512}) {
+    if (std::find(tiers.begin(), tiers.end(), t) == tiers.end()) {
+      EXPECT_THROW(ops::detail::scoped_kernel_tier{t}, pelta::error) << kernel_tier_name(t);
+    }
+  }
+}
+
+TEST_P(BlockedGemm, BitEqualsReferenceOnEdgeShapes) {
   rng gen{41};
   // Every combination straddling the register tile: empty, single, tile-1,
   // tile, tile+1 for both MR (rows) and NR (columns), plus non-multiples.
@@ -76,7 +103,7 @@ TEST(BlockedGemm, BitEqualsReferenceOnEdgeShapes) {
       }
 }
 
-TEST(BlockedGemm, RowSliceInvariance) {
+TEST_P(BlockedGemm, RowSliceInvariance) {
   // Chunked invocation over arbitrary row splits must reproduce the whole-
   // matrix call bit for bit — the invariant parallel_for_range relies on.
   rng gen{43};
@@ -99,7 +126,7 @@ TEST(BlockedGemm, RowSliceInvariance) {
   }
 }
 
-TEST(BlockedGemm, TransposedBVariantBitEqualsMaterializedTranspose) {
+TEST_P(BlockedGemm, TransposedBVariantBitEqualsMaterializedTranspose) {
   rng gen{47};
   for (std::int64_t m : {1, 3, 4, 5, 10})
     for (std::int64_t k : {1, 2, 9, 24})
@@ -121,7 +148,7 @@ TEST(BlockedGemm, TransposedBVariantBitEqualsMaterializedTranspose) {
 // Regression for the poisoned-update gate: a NaN/Inf B operand must surface
 // through a zero A row — the zero-skip fast path is only legal when B is
 // fully finite, and the gate is now decided once per call, not per element.
-TEST(BlockedGemm, PoisonedBPropagatesThroughZeroARow) {
+TEST_P(BlockedGemm, PoisonedBPropagatesThroughZeroARow) {
   const std::int64_t m = 3, k = 4, n = 8;
   std::vector<float> a(static_cast<std::size_t>(m * k), 0.0f);
   for (std::int64_t j = 0; j < k; ++j) a[static_cast<std::size_t>(0 * k + j)] = 1.0f;
@@ -164,7 +191,7 @@ TEST(BlockedGemm, PoisonedBPropagatesThroughZeroARow) {
   }
 }
 
-TEST(BlockedGemm, MatmulBitIdenticalAcrossThreadWidths) {
+TEST_P(BlockedGemm, MatmulBitIdenticalAcrossThreadWidths) {
   rng gen{53};
   const std::int64_t m = 130, k = 64, n = 50;  // m deliberately not a tile multiple
   tensor a = tensor::randn(gen, {m, k});

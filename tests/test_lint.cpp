@@ -64,6 +64,12 @@ TEST(LintScoping, KernelFilesGetTheAccumulationAndArenaRules) {
             (std::vector<std::string>{"R1", "R3", "R4", "R6"}));
 }
 
+TEST(LintScoping, KernelTierBodiesGetTheKernelRules) {
+  // The per-tier kernel loops owe the same rules as kernels.cpp, their caller.
+  EXPECT_EQ(pelta::lint::applicable_rules("src/tensor/kernel_tier_impl.h"),
+            pelta::lint::applicable_rules("src/tensor/kernels.cpp"));
+}
+
 TEST(LintScoping, AllowlistedCoresLoseExactlyTheirRule) {
   using pelta::lint::applicable_rules;
   // rng core may use OS entropy; it still may not spawn threads or raw-lock.

@@ -3,6 +3,9 @@
 // unpacked reference, the arena's aligned typed claims, the nn/compile
 // fusion pass and the models/compiler calibration wrapper.
 //
+// The Qgemm and QuantizeActivations cases run once per kernel tier the host
+// supports (kernel_tier_param.h).
+//
 // Determinism posture matches test_kernels: integer-accumulation paths are
 // compared with memcmp, never a tolerance — the int8 forward promises
 // BITWISE identity across thread counts, batch sizes and packing paths.
@@ -12,6 +15,7 @@
 // explicit environment setting) so pooled runs really cross threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -29,6 +33,7 @@
 #include "models/mlp.h"
 #include "models/trainer.h"
 #include "nn/compile.h"
+#include "kernel_tier_param.h"
 #include "reference_kernels.h"
 #include "tensor/kernels.h"
 #include "tensor/parallel.h"
@@ -123,9 +128,47 @@ TEST(Quantize, WeightScaleSelectionIsDeterministic) {
   }
 }
 
+// ---- activation codes on every kernel tier ----------------------------------
+
+class QuantizeActivations : public kernel_tier_test {};
+INSTANTIATE_TEST_SUITE_P(Tiers, QuantizeActivations, every_kernel_tier(),
+                         kernel_tier_param_name);
+
+TEST_P(QuantizeActivations, MatchesTheScalarLoopBitwise) {
+  // A power-of-two scale makes (q + 0.5) * scale an exact tie after the
+  // multiply by 1/scale; values past +-127 * scale exercise the clamp, and
+  // counts around multiples of 16 exercise the vector prefix and its tail.
+  const float scale = 1.0f / 16.0f;
+  rng gen{61};
+  std::vector<float> x;
+  for (int i = 0; i < 300; ++i) x.push_back(gen.uniform(-10.0f, 10.0f));
+  for (int q = -130; q <= 130; ++q) x.push_back((static_cast<float>(q) + 0.5f) * scale);
+  x.push_back(0.0f);
+  x.push_back(-0.0f);
+  const float inv = 1.0f / scale;
+  const std::int64_t total = static_cast<std::int64_t>(x.size());
+  for (const std::int64_t count : {std::int64_t{0}, std::int64_t{1}, std::int64_t{15},
+                                   std::int64_t{16}, std::int64_t{17}, std::int64_t{31},
+                                   std::int64_t{32}, std::int64_t{33}, total}) {
+    std::vector<std::uint8_t> got(static_cast<std::size_t>(count), 0);
+    std::vector<std::uint8_t> want(static_cast<std::size_t>(count), 0);
+    quant::quantize_activations(x.data(), count, scale, got.data());
+    for (std::int64_t i = 0; i < count; ++i) {
+      const float scaled = x[static_cast<std::size_t>(i)] * inv;
+      const std::int32_t q = std::clamp(quant::round_nearest_even(scaled), -quant::k_act_qmax,
+                                        quant::k_act_qmax);
+      want[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(q + quant::k_act_zero);
+    }
+    ASSERT_EQ(got, want) << "count=" << count;
+  }
+}
+
 // ---- packed int8 GEMM vs the frozen reference -------------------------------
 
-TEST(Qgemm, MatchesReferenceBitwiseAcrossTileGrid) {
+class Qgemm : public kernel_tier_test {};
+INSTANTIATE_TEST_SUITE_P(Tiers, Qgemm, every_kernel_tier(), kernel_tier_param_name);
+
+TEST_P(Qgemm, MatchesReferenceBitwiseAcrossTileGrid) {
   // Sizes straddle every tile boundary: register tiles (4x16), k-groups of
   // 4, the KCQ k-block (256 groups = 1024 rows is too slow for a grid, so
   // 65 covers multi-group + remainders; the k-block edge gets its own case).
@@ -161,7 +204,7 @@ TEST(Qgemm, MatchesReferenceBitwiseAcrossTileGrid) {
   }
 }
 
-TEST(Qgemm, MatchesReferenceAcrossKBlockBoundary) {
+TEST_P(Qgemm, MatchesReferenceAcrossKBlockBoundary) {
   // KCQ = 256 k-groups = 1024 depth rows per block: straddle it.
   rng gen{37};
   const std::int64_t m = 5, n = 17;
@@ -191,7 +234,7 @@ TEST(Qgemm, MatchesReferenceAcrossKBlockBoundary) {
   }
 }
 
-TEST(Qgemm, ZeroDepthYieldsZeros) {
+TEST_P(Qgemm, ZeroDepthYieldsZeros) {
   std::vector<std::int32_t> out(4 * 16, 123);
   const std::vector<std::int32_t> colsums(16, 0);
   ops::detail::qgemm(nullptr, 0, nullptr, colsums.data(), out.data(), 4, 0, 16);

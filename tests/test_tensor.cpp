@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "tensor/ops.h"
@@ -258,6 +259,29 @@ TEST(Serialize, TruncatedThrows) {
 TEST(Serialize, TrailingBytesThrow) {
   byte_buffer buf = to_bytes(tensor::ones({4}));
   buf.push_back(0);
+  EXPECT_THROW(from_bytes(buf), error);
+}
+
+// A serialized header: rank, then the extents, then no payload at all.
+byte_buffer header_only(const shape_t& extents) {
+  std::vector<std::int64_t> words{static_cast<std::int64_t>(extents.size())};
+  words.insert(words.end(), extents.begin(), extents.end());
+  byte_buffer buf(words.size() * sizeof(std::int64_t));
+  std::memcpy(buf.data(), words.data(), buf.size());
+  return buf;
+}
+
+TEST(Serialize, OverflowingExtentsThrow) {
+  // 2^33 * 2^33 wraps int64; it must not read as an empty tensor.
+  const std::int64_t big = std::int64_t{1} << 33;
+  EXPECT_THROW(from_bytes(header_only({big, big})), error);
+  EXPECT_THROW(numel_of({big, big}), error);
+}
+
+TEST(Serialize, HugeExtentFailsBeforeAllocating) {
+  // 16 bytes claiming 2^40 floats: a pelta::error, never std::bad_alloc.
+  const byte_buffer buf = header_only({std::int64_t{1} << 40});
+  ASSERT_EQ(buf.size(), 16u);
   EXPECT_THROW(from_bytes(buf), error);
 }
 

@@ -17,12 +17,14 @@
 // enforces those invariants as named, individually-suppressible rules:
 //
 //   R1  no raw float +=/-= accumulation in src/tensor/kernels.cpp,
+//       src/tensor/kernel_tier_impl.h (the per-tier kernel bodies),
 //       src/tensor/conv.cpp, src/fl/aggregation.cpp outside
 //       detail::fmadd / double-widened (Kahan-class) accumulators.
 //       Loop-header stepping (for (...; ...; i += 4)) and integer or
 //       pointer arithmetic are recognized and allowed.
 //   R2  no std::vector / new / resize() in the arena-governed hot files
-//       (src/tensor/kernels.cpp, src/tensor/conv.cpp) — hot-path
+//       (src/tensor/kernels.cpp, src/tensor/kernel_tier_impl.h,
+//       src/tensor/conv.cpp) — hot-path
 //       workspaces come from scratch_arena.
 //   R3  no wall clock (steady_clock / system_clock /
 //       high_resolution_clock) and no std::random_device / rand() /

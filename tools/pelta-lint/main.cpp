@@ -14,10 +14,12 @@ namespace {
 constexpr const char* k_rules_doc =
     "pelta-lint rules (suppress with `// pelta-lint: allow(<rule>) <reason>`):\n"
     "  R1  no raw float +=/-= accumulation in src/tensor/kernels.cpp,\n"
-    "      src/tensor/conv.cpp, src/fl/aggregation.{h,cpp} outside\n"
+    "      src/tensor/kernel_tier_impl.h, src/tensor/conv.cpp,\n"
+    "      src/fl/aggregation.{h,cpp} outside\n"
     "      detail::fmadd / double-widened accumulators\n"
     "  R2  no std::vector / new / resize() in the arena-governed hot files\n"
-    "      (src/tensor/kernels.cpp, src/tensor/conv.cpp)\n"
+    "      (src/tensor/kernels.cpp, src/tensor/kernel_tier_impl.h,\n"
+    "      src/tensor/conv.cpp)\n"
     "  R3  no steady_clock/system_clock/high_resolution_clock,\n"
     "      std::random_device, rand()/srand() in src/ outside the rng core\n"
     "      (src/tensor/rng.h)\n"
