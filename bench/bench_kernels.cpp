@@ -118,16 +118,23 @@ struct qresult {
 
 // Int8 gate, keyed to the kernel tier that actually runs (the default build
 // picks it at run time, so the gate applies there too): 2x over the blocked
-// fp32 kernel on the avx512 tier, whose qgemm is one vpdpbusd per k-group;
-// 1.5x on the avx2 tier, whose vpmaddubsw+vpmaddwd form spends three ALU
-// ops where VNNI spends one and measures ~1.9x on the largest shapes;
-// report-only on the baseline tier, whose scalar 4-byte-group int8 loop has
-// no such headroom.
+// fp32 kernel wherever qgemm is one vpdpbusd per k-group — the avx512 tier,
+// and the avx2 tier when the base flags already enable ymm VNNI (the same
+// conditions that switch kernel_tier_impl.h's avx2 body onto it; this file
+// sees the same base flags); 1.5x on the plain avx2 tier, whose
+// vpmaddubsw+vpmaddwd form spends three ALU ops where VNNI spends one and
+// measures ~1.9x on the largest shapes; report-only on the baseline tier,
+// whose scalar 4-byte-group int8 loop has no such headroom.
 double env_int8_threshold(pelta::ops::detail::kernel_tier tier) {
   if (const char* v = std::getenv("PELTA_QKERNELS_MIN_SPEEDUP")) return std::atof(v);
   switch (tier) {
     case pelta::ops::detail::kernel_tier::avx512: return 2.0;
-    case pelta::ops::detail::kernel_tier::avx2: return 1.5;
+    case pelta::ops::detail::kernel_tier::avx2:
+#if (defined(__AVX512VNNI__) && defined(__AVX512VL__)) || defined(__AVXVNNI__)
+      return 2.0;
+#else
+      return 1.5;
+#endif
     default: return 0.0;
   }
 }

@@ -62,6 +62,15 @@
 #error "the avx2 tier needs -mavx2"
 #endif
 
+// fmadd follows the build-level PELTA_FMADD_FUSED (kernels.h), never this
+// tier's __FMA__. A tier may see __FMA__ where the build does not (Clang's
+// -mavx512f implies FMA); fmadd then stays mul+add and contraction is off,
+// so the bits hold. The reverse cannot hold them cheaply: a fused build
+// whose tier lost FMA would run every fmadd through libm.
+#if PELTA_FMADD_FUSED && !defined(__FMA__) && !defined(__ARM_FEATURE_FMA)
+#error "the build rounds with FMA but this tier's flags do not enable it"
+#endif
+
 namespace pelta::ops::detail::PELTA_KERNEL_TIER_NS {
 
 namespace {

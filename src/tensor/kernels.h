@@ -36,8 +36,29 @@ inline constexpr std::int64_t k_gemm_nr = 16;  // columns per register tile
 /// the across-PELTA_THREADS guarantee) on FMA targets. Always inlined, so
 /// the ISA-flagged kernel tiers (kernel_tier.h) never emit an out-of-line
 /// copy that the linker could hand to baseline callers.
+///
+/// The choice is made once per build, not per translation unit: the build
+/// sets PELTA_FMADD_FUSED from its base compile flags
+/// (src/tensor/CMakeLists.txt). A kernel tier's ISA flags can imply FMA —
+/// Clang's -mavx512f defines __FMA__ — and keying on the tier's own
+/// __FMA__ would then fuse that tier alone and change its bits.
+#if !defined(PELTA_FMADD_FUSED)
+#if defined(PELTA_KERNEL_TIER_LEVEL)
+#error "kernel tier sources need the build-level PELTA_FMADD_FUSED"
+#elif defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+#define PELTA_FMADD_FUSED 1
+#else
+#define PELTA_FMADD_FUSED 0
+#endif
+#elif !defined(PELTA_KERNEL_TIER_LEVEL) && \
+    PELTA_FMADD_FUSED != (defined(__FMA__) || defined(__ARM_FEATURE_FMA))
+// Outside the tier sources every translation unit sees the base flags, so
+// the build-level choice must match them; a mismatch means the build's FMA
+// probe missed a flag that this translation unit was compiled with.
+#error "PELTA_FMADD_FUSED disagrees with this translation unit's FMA flags"
+#endif
 [[gnu::always_inline]] inline float fmadd(float a, float b, float c) {
-#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+#if PELTA_FMADD_FUSED
   return std::fma(a, b, c);
 #else
   return a * b + c;  // no FMA on this target: contraction cannot diverge
