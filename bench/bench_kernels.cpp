@@ -13,6 +13,9 @@
 // steady-state conv2d call still allocates, or if any kernel output
 // mismatches its reference bitwise. Everything runs single-thread: this is
 // the serial inner-kernel baseline the thread-pool scaling bench multiplies.
+// It also reports, without a gate, ns per element of the GELU forward loop
+// and the softmax row exponential on every supported kernel tier, next to
+// the libm loops they replaced.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -136,6 +139,37 @@ double env_int8_threshold(pelta::ops::detail::kernel_tier tier) {
       return 1.5;
 #endif
     default: return 0.0;
+  }
+}
+
+// One tier's activation loops against the libm loops they replaced.
+struct activation_result {
+  const char* tier = "";
+  double gelu_ns = 0, gelu_libm_ns = 0;                // per element
+  double softmax_exp_ns = 0, softmax_exp_libm_ns = 0;  // per element
+  std::int64_t gelu_max_ulp = 0, softmax_exp_max_ulp = 0;  // largest gap to libm
+};
+
+// Largest distance, in ulps, between same-index elements of x and y.
+std::int64_t max_ulp_distance(const std::vector<float>& x, const std::vector<float>& y) {
+  const auto ordinal = [](float f) {
+    std::int32_t i = 0;
+    std::memcpy(&i, &f, sizeof(i));
+    return i < 0 ? -static_cast<std::int64_t>(i & 0x7fffffff) : static_cast<std::int64_t>(i);
+  };
+  std::int64_t worst = 0;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    worst = std::max(worst, std::abs(ordinal(x[i]) - ordinal(y[i])));
+  return worst;
+}
+
+// The GELU forward loop as it stood before the tier kernels: std::tanh.
+void gelu_libm(const float* x, float* out, std::int64_t count) {
+  constexpr float k_sqrt_2_over_pi = 0.7978845608f;
+  for (std::int64_t i = 0; i < count; ++i) {
+    const float v = x[i];
+    const float u = k_sqrt_2_over_pi * (v + 0.044715f * v * v * v);
+    out[i] = 0.5f * v * (1.0f + std::tanh(u));
   }
 }
 
@@ -279,6 +313,60 @@ int main() {
                 static_cast<long long>(s.n), r.fp32_gflops, r.int8_gflops, r.speedup);
   }
 
+  // ---- activation loops: tier kernels vs the libm loops they replaced -------
+  // Report-only. The GELU forward runs over one ViT-B/16-sim MLP
+  // activation (20 images x 17 tokens x 64 hidden), the softmax row
+  // exponential over its attention rows of 17 scores. Per supported tier, each tier kernel is
+  // timed in interleaved rounds against the libm loop (std::tanh /
+  // std::exp, compiled with the base flags).
+  std::printf("\nactivation loops, ns per element (tier kernel vs libm loop):\n");
+  std::vector<activation_result> aresults;
+  {
+    constexpr std::int64_t count = 20 * 17 * 64;
+    constexpr std::int64_t row = 17;
+    std::vector<float> x(static_cast<std::size_t>(count));
+    for (float& v : x) v = gen.normal(0.0f, 2.0f);
+    std::vector<float> row_max;
+    for (std::int64_t r0 = 0; r0 < count; r0 += row)
+      row_max.push_back(*std::max_element(x.data() + r0, x.data() + r0 + row));
+    std::vector<float> out_libm(x.size()), out_tier(x.size());
+    const std::int64_t reps = 50;
+    const double per_element = 1e9 / static_cast<double>(count);
+    for (const pelta::ops::detail::kernel_tier t : pelta::ops::detail::supported_kernel_tiers()) {
+      const pelta::ops::detail::scoped_kernel_tier route{t};
+      const pelta::ops::detail::kernel_tier_fns& fns = pelta::ops::detail::active_kernel_fns();
+      activation_result r;
+      r.tier = pelta::ops::detail::kernel_tier_name(t);
+      const auto [gelu_libm_s, gelu_s] = time_ab(
+          7, reps, [&] { gelu_libm(x.data(), out_libm.data(), count); },
+          [&] { fns.gelu(x.data(), out_tier.data(), count); });
+      r.gelu_max_ulp = max_ulp_distance(out_libm, out_tier);
+      const auto [exp_libm_s, exp_s] = time_ab(
+          7, reps,
+          [&] {
+            for (std::size_t i = 0; i < x.size(); ++i)
+              out_libm[i] = std::exp(x[i] - row_max[i / static_cast<std::size_t>(row)]);
+          },
+          [&] {
+            for (std::int64_t r0 = 0; r0 < count; r0 += row)
+              fns.exp_shifted(x.data() + r0, row_max[static_cast<std::size_t>(r0 / row)],
+                              out_tier.data() + r0, row);
+          });
+      r.softmax_exp_max_ulp = max_ulp_distance(out_libm, out_tier);
+      r.gelu_ns = gelu_s * per_element;
+      r.gelu_libm_ns = gelu_libm_s * per_element;
+      r.softmax_exp_ns = exp_s * per_element;
+      r.softmax_exp_libm_ns = exp_libm_s * per_element;
+      aresults.push_back(r);
+      std::printf("  %-8s gelu forward %6.2f (libm %6.2f, %5.1fx, max %lld ulp apart)   "
+                  "softmax row exp %6.2f (libm %6.2f, %5.1fx, max %lld ulp apart)\n",
+                  r.tier, r.gelu_ns, r.gelu_libm_ns, r.gelu_libm_ns / r.gelu_ns,
+                  static_cast<long long>(r.gelu_max_ulp), r.softmax_exp_ns,
+                  r.softmax_exp_libm_ns, r.softmax_exp_libm_ns / r.softmax_exp_ns,
+                  static_cast<long long>(r.softmax_exp_max_ulp));
+    }
+  }
+
   // Scratch-arena steady state: after a warm-up conv2d round trip, further
   // identical calls must perform zero allocations.
   std::size_t steady_allocs = 0;
@@ -352,12 +440,24 @@ int main() {
                     .field("int8_gflops", r.int8_gflops)
                     .field("speedup", r.speedup));
     }
+    pelta::bench::json activations = pelta::bench::json::array();
+    for (const activation_result& r : aresults) {
+      activations.push(pelta::bench::json::object()
+                           .field("tier", r.tier)
+                           .field("gelu_ns_per_element", r.gelu_ns)
+                           .field("gelu_libm_ns_per_element", r.gelu_libm_ns)
+                           .field("softmax_exp_ns_per_element", r.softmax_exp_ns)
+                           .field("softmax_exp_libm_ns_per_element", r.softmax_exp_libm_ns)
+                           .field("gelu_max_ulp_vs_libm", r.gelu_max_ulp)
+                           .field("softmax_exp_max_ulp_vs_libm", r.softmax_exp_max_ulp));
+    }
     pelta::bench::json::object()
         .field("bench", "kernels")
         .field("threads", 1)
         .field("kernel_tier", tier_name)
         .field("gemm", gemm)
         .field("int8", int8)
+        .field("activations", activations)
         .field("conv_arena_steady_state_allocations", steady_allocs)
         .field("two_largest_min_speedup", min_large_speedup)
         .field("speedup_threshold", threshold)

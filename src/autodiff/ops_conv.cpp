@@ -137,16 +137,13 @@ public:
     const tensor& w = *in[1];
     PELTA_CHECK_MSG(x.ndim() == 3 && w.ndim() == 2 && x.size(2) == w.size(0),
                     "token_linear shapes " << to_string(x.shape()) << " x " << to_string(w.shape()));
-    const std::int64_t b = x.size(0), t = x.size(1), d = w.size(1);
-    tensor flat = x.reshape({b * t, x.size(2)});
-    tensor out = ops::matmul(flat, w);
+    tensor out = ops::matmul_lastdim(x, w);
     if (with_bias_) {
       const tensor& bias = *in[2];
-      PELTA_CHECK(bias.numel() == d);
-      for (std::int64_t r = 0; r < b * t; ++r)
-        for (std::int64_t c = 0; c < d; ++c) out.at(r, c) += bias[c];
+      PELTA_CHECK(bias.numel() == w.size(1));
+      ops::add_rows_(out, bias);
     }
-    return out.reshape({b, t, d});
+    return out;
   }
 
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
@@ -154,17 +151,10 @@ public:
     const tensor& x = *in[0];
     const tensor& w = *in[1];
     const std::int64_t b = x.size(0), t = x.size(1), p = x.size(2), d = w.size(1);
-    tensor g2 = g.reshape({b * t, d});
-    tensor x2 = x.reshape({b * t, p});
     std::vector<tensor> grads;
-    grads.push_back(ops::matmul(g2, ops::transpose2d(w)).reshape(x.shape()));
-    grads.push_back(ops::matmul(ops::transpose2d(x2), g2));
-    if (with_bias_) {
-      tensor gb{shape_t{d}};
-      for (std::int64_t r = 0; r < b * t; ++r)
-        for (std::int64_t c = 0; c < d; ++c) gb[c] += g2.at(r, c);
-      grads.push_back(std::move(gb));
-    }
+    grads.push_back(ops::matmul_lastdim(g, ops::transpose2d(w)));
+    grads.push_back(ops::matmul(ops::transpose2d(x.reshape({b * t, p})), g.reshape({b * t, d})));
+    if (with_bias_) grads.push_back(ops::sum_rows(g, {d}));
     return grads;
   }
 

@@ -1,5 +1,6 @@
 #include "autodiff/ops_elementwise.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/ops.h"
@@ -38,28 +39,13 @@ public:
       PELTA_CHECK_MSG(bs[i] == as[as.size() - bs.size() + i],
                       "broadcast suffix mismatch " << to_string(as) << " vs " << to_string(bs));
     tensor out = a;
-    const std::int64_t inner = b.numel();
-    const std::int64_t outer = a.numel() / inner;
-    auto po = out.data();
-    auto pb = b.data();
-    for (std::int64_t o = 0; o < outer; ++o)
-      for (std::int64_t i = 0; i < inner; ++i)
-        po[static_cast<std::size_t>(o * inner + i)] += pb[static_cast<std::size_t>(i)];
+    ops::add_rows_(out, b);
     return out;
   }
 
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
                                const tensor&) const override {
-    const tensor& b = *in[1];
-    tensor gb{b.shape()};
-    const std::int64_t inner = b.numel();
-    const std::int64_t outer = g.numel() / inner;
-    auto pg = g.data();
-    auto pgb = gb.data();
-    for (std::int64_t o = 0; o < outer; ++o)
-      for (std::int64_t i = 0; i < inner; ++i)
-        pgb[static_cast<std::size_t>(i)] += pg[static_cast<std::size_t>(o * inner + i)];
-    return {g, std::move(gb)};
+    return {g, ops::sum_rows(g, in[1]->shape())};
   }
 };
 
@@ -148,35 +134,13 @@ public:
 
   tensor forward(std::span<const tensor* const> in) override {
     PELTA_CHECK(in.size() == 1);
-    tensor out{in[0]->shape()};
-    auto px = in[0]->data();
-    auto po = out.data();
-    for (std::size_t i = 0; i < po.size(); ++i) {
-      const float x = px[i];
-      const float u = k_sqrt_2_over_pi * (x + 0.044715f * x * x * x);
-      po[i] = 0.5f * x * (1.0f + std::tanh(u));
-    }
-    return out;
+    return ops::gelu(*in[0]);
   }
 
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
                                const tensor&) const override {
-    tensor gx{g.shape()};
-    auto px = in[0]->data();
-    auto pg = g.data();
-    auto po = gx.data();
-    for (std::size_t i = 0; i < po.size(); ++i) {
-      const float x = px[i];
-      const float u = k_sqrt_2_over_pi * (x + 0.044715f * x * x * x);
-      const float t = std::tanh(u);
-      const float du = k_sqrt_2_over_pi * (1.0f + 3.0f * 0.044715f * x * x);
-      po[i] = pg[i] * (0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du);
-    }
-    return {std::move(gx)};
+    return {ops::gelu_backward(g, *in[0])};
   }
-
-private:
-  static constexpr float k_sqrt_2_over_pi = 0.7978845608f;
 };
 
 // Softmax over the last dimension, numerically stabilized per row.
@@ -189,6 +153,7 @@ public:
     const tensor& x = *in[0];
     PELTA_CHECK(x.ndim() >= 1);
     const std::int64_t last = x.size(-1);
+    const auto row_len = static_cast<std::size_t>(last);
     const std::int64_t rows = x.numel() / last;
     tensor out{x.shape()};
     auto px = x.data();
@@ -198,11 +163,9 @@ public:
       float* orow = po.data() + r * last;
       float m = xr[0];
       for (std::int64_t c = 1; c < last; ++c) m = std::max(m, xr[c]);
+      ops::exp_shifted({xr, row_len}, m, {orow, row_len});
       double z = 0.0;
-      for (std::int64_t c = 0; c < last; ++c) {
-        orow[c] = std::exp(xr[c] - m);
-        z += orow[c];
-      }
+      for (std::int64_t c = 0; c < last; ++c) z += orow[c];
       const float inv = static_cast<float>(1.0 / z);
       for (std::int64_t c = 0; c < last; ++c) orow[c] *= inv;
     }
@@ -238,6 +201,7 @@ public:
     PELTA_CHECK(in.size() == 1);
     const tensor& x = *in[0];
     const std::int64_t last = x.size(-1);
+    const auto row_len = static_cast<std::size_t>(last);
     const std::int64_t rows = x.numel() / last;
     tensor out{x.shape()};
     auto px = x.data();
@@ -247,8 +211,9 @@ public:
       float* orow = po.data() + r * last;
       float m = xr[0];
       for (std::int64_t c = 1; c < last; ++c) m = std::max(m, xr[c]);
+      ops::exp_shifted({xr, row_len}, m, {orow, row_len});  // orow as scratch
       double z = 0.0;
-      for (std::int64_t c = 0; c < last; ++c) z += std::exp(xr[c] - m);
+      for (std::int64_t c = 0; c < last; ++c) z += orow[c];
       const float logz = m + static_cast<float>(std::log(z));
       for (std::int64_t c = 0; c < last; ++c) orow[c] = xr[c] - logz;
     }
@@ -258,6 +223,7 @@ public:
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const>,
                                const tensor& out) const override {
     const std::int64_t last = out.size(-1);
+    const auto row_len = static_cast<std::size_t>(last);
     const std::int64_t rows = out.numel() / last;
     tensor gx{out.shape()};
     auto pl = out.data();
@@ -269,8 +235,9 @@ public:
       float* orow = po.data() + r * last;
       double gsum = 0.0;
       for (std::int64_t c = 0; c < last; ++c) gsum += gr[c];
+      ops::exp_shifted({ls, row_len}, 0.0f, {orow, row_len});  // softmax = exp(log_softmax)
       for (std::int64_t c = 0; c < last; ++c)
-        orow[c] = gr[c] - std::exp(ls[c]) * static_cast<float>(gsum);
+        orow[c] = gr[c] - orow[c] * static_cast<float>(gsum);
     }
     return {std::move(gx)};
   }

@@ -71,8 +71,7 @@ public:
     if (with_bias_) {
       const tensor& bias = *in[2];
       PELTA_CHECK(bias.numel() == w.size(1));
-      for (std::int64_t r = 0; r < out.size(0); ++r)
-        for (std::int64_t c = 0; c < out.size(1); ++c) out.at(r, c) += bias[c];
+      ops::add_rows_(out, bias);
     }
     return out;
   }
@@ -84,12 +83,7 @@ public:
     std::vector<tensor> grads;
     grads.push_back(ops::matmul(g, ops::transpose2d(w)));
     grads.push_back(ops::matmul(ops::transpose2d(x), g));
-    if (with_bias_) {
-      tensor gb{shape_t{w.size(1)}};
-      for (std::int64_t r = 0; r < g.size(0); ++r)
-        for (std::int64_t c = 0; c < g.size(1); ++c) gb[c] += g.at(r, c);
-      grads.push_back(std::move(gb));
-    }
+    if (with_bias_) grads.push_back(ops::sum_rows(g, {w.size(1)}));
     return grads;
   }
 

@@ -95,6 +95,14 @@ void load_checkpoint(model& m, const std::string& path, bool ignore_name) {
   if (!ignore_name && h.name != m.name())
     throw checkpoint_error{"checkpoint holds '" + h.name + "', model is '" + m.name() + "'"};
 
+  // The header's length is untrusted: it must fit in what the file still
+  // holds (payload plus checksum) before anything is allocated for it.
+  const std::istream::pos_type payload_at = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto left = static_cast<std::uint64_t>(in.tellg() - payload_at);
+  in.seekg(payload_at);
+  if (!in || h.payload_size > left || left - h.payload_size < sizeof(std::uint64_t))
+    throw checkpoint_error{"truncated checkpoint payload: " + path};
   byte_buffer payload(h.payload_size);
   in.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(payload.size()));
   if (!in) throw checkpoint_error{"truncated checkpoint payload: " + path};

@@ -1,6 +1,6 @@
 // Run-time ISA tier selection for the dense kernels (kernels.cpp,
-// quantized_tensor.cpp). Internal implementation surface — not part of the
-// public API.
+// quantized_tensor.cpp) and the activation transcendentals (ops.cpp).
+// Internal implementation surface — not part of the public API.
 //
 // Every tier is the SAME template source (kernel_tier_impl.h) compiled in its
 // own translation unit with added ISA-enable flags and -ffp-contract=off:
@@ -11,9 +11,11 @@
 //
 // No tier adds FMA, and contraction is off, so each fp32 output element sees
 // the build's detail::fmadd rounding sequence on every tier; the int8 path is
-// integer-exact. All tiers therefore produce identical bits, and picking the
-// widest one the CPU supports changes speed only. The choice is made once,
-// at first use, with __builtin_cpu_supports.
+// integer-exact. The activation transcendentals (exp, tanh, GELU) are
+// polynomials over IEEE add, mul, div, compare/select and integer bit ops
+// only, so they follow the same rule. All tiers therefore produce identical
+// bits, and picking the widest one the CPU supports changes speed only. The
+// choice is made once, at first use, with __builtin_cpu_supports.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +29,9 @@ enum class kernel_tier : int { baseline = 0, avx2 = 1, avx512 = 2 };
 inline constexpr std::int64_t k_gemm_kc = 1024;  // fp32 k-block (ascending)
 inline constexpr std::int64_t k_gemm_wide = 64;  // fp32 main tile width
 
-/// One tier's kernel bodies. The public entry points in kernels.cpp keep
-/// every check, the zero-skip gate decision and the scratch checkout; a tier
-/// only runs the loops.
+/// One tier's kernel bodies. The public entry points in kernels.cpp and
+/// ops.cpp keep every check, the zero-skip gate decision and the scratch
+/// checkout; a tier only runs the loops.
 struct kernel_tier_fns {
   /// gemm_accumulate after its gate: `skip` enables the zero-skip path.
   /// `panel` holds k_gemm_kc * k_gemm_nr floats when n % k_gemm_nr != 0.
@@ -47,6 +49,13 @@ struct kernel_tier_fns {
   /// returned-count elements (0 where the tier has no vector form); the
   /// caller's scalar loop codes the rest with the identical result.
   std::int64_t (*quantize)(const float* x, std::int64_t count, float inv, std::uint8_t* out);
+  /// out[i] = exp(x[i] - shift): ops::exp with shift 0, and the softmax row
+  /// exponentials with the row maximum.
+  void (*exp_shifted)(const float* x, float shift, float* out, std::int64_t count);
+  void (*tanh)(const float* x, float* out, std::int64_t count);
+  /// GELU (tanh form) and its derivative times the upstream gradient g.
+  void (*gelu)(const float* x, float* out, std::int64_t count);
+  void (*gelu_backward)(const float* x, const float* g, float* out, std::int64_t count);
 };
 
 const char* kernel_tier_name(kernel_tier t);

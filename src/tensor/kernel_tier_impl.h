@@ -474,9 +474,116 @@ std::int64_t quantize([[maybe_unused]] const float* x, [[maybe_unused]] std::int
   return i;
 }
 
+// ---- activation transcendentals ----------------------------------------------
+//
+// Cephes-style expf and tanhf, written as branch-free per-element
+// expressions so each loop below auto-vectorizes on every tier: IEEE add,
+// mul, div and compare/select plus integer bit ops, with the polynomial
+// steps through detail::fmadd. No libm call and no rcp/rsqrt estimate, so
+// the bits are the same on every tier and every host; both functions are
+// within 1 ulp of the exact value (tests/test_kernels.cpp sweeps them).
+
+constexpr float k_log2e = 1.44269504088896341f;
+// ln 2 split for Cody-Waite reduction: k_ln2_hi has 9 significant bits, so
+// n * k_ln2_hi is exact for every |n| <= 128.
+constexpr float k_ln2_hi = 0.693359375f;
+constexpr float k_ln2_lo = -2.12194440e-4f;
+// 1.5 * 2^23 + 127: adding it rounds x * log2(e) to the nearest integer n
+// and leaves n + 127 (the biased exponent of 2^n) in the low mantissa bits.
+constexpr float k_exp_round = 12583039.0f;
+// Below k_exp_lo, exp(x) is under FLT_MIN: the result is exactly +0. Above
+// k_exp_hi it overflows to +inf.
+constexpr float k_exp_lo = -87.33654022216797f;
+constexpr float k_exp_hi = 88.72283935546875f;
+constexpr std::uint32_t k_sign_bit = 0x80000000u;
+
+[[gnu::always_inline]] inline std::uint32_t bits_of(float x) {
+  return __builtin_bit_cast(std::uint32_t, x);
+}
+[[gnu::always_inline]] inline float float_of(std::uint32_t u) {
+  return __builtin_bit_cast(float, u);
+}
+
+// c ? a : b, on the bit patterns. A float ?: would be a branch around the
+// operation it guards, and with -ftrapping-math (the default) GCC will not
+// if-convert it, so the loop would not vectorize below AVX-512 masking.
+[[gnu::always_inline]] inline float select(bool c, float a, float b) {
+  const std::uint32_t mask = 0u - static_cast<std::uint32_t>(c);
+  return float_of((bits_of(a) & mask) | (bits_of(b) & ~mask));
+}
+
+[[gnu::always_inline]] inline float exp_one(float x) {
+  const float t = fmadd(x, k_log2e, k_exp_round);
+  const float n = t - k_exp_round;  // exact: round(x * log2(e))
+  float r = fmadd(n, -k_ln2_hi, x);
+  r = fmadd(n, -k_ln2_lo, r);
+  // exp(r) on |r| <= ln(2)/2: 1 + r + r^2 * p(r).
+  float p = fmadd(1.9875691500e-4f, r, 1.3981999507e-3f);
+  p = fmadd(p, r, 8.3334519073e-3f);
+  p = fmadd(p, r, 4.1665795894e-2f);
+  p = fmadd(p, r, 1.6666665459e-1f);
+  p = fmadd(p, r, 5.0000001201e-1f);
+  p = fmadd(p, r * r, r) + 1.0f;
+  // 2^n from the bits of t, shifted as unsigned so the integer part above
+  // the biased exponent leaves the word. n = 128 (x just below k_exp_hi)
+  // has no float 2^n: scale by 2^127, then by 2.
+  const bool top = n > 127.0f;
+  const float scale = float_of(bits_of(select(top, t - 1.0f, t)) << 23);
+  float y = p * scale;
+  y = select(top, y * 2.0f, y);
+  // Out-of-range x left garbage in t; NaN fails both compares and stays NaN.
+  y = select(x < k_exp_lo, 0.0f, y);
+  return select(x > k_exp_hi, __builtin_inff(), y);
+}
+
+[[gnu::always_inline]] inline float tanh_one(float x) {
+  const float ax = float_of(bits_of(x) & ~k_sign_bit);
+  // |x| < 0.625: odd polynomial, x + x^3 * q(x^2).
+  const float z = ax * ax;
+  float q = fmadd(-5.70498872745e-3f, z, 2.06390887954e-2f);
+  q = fmadd(q, z, -5.37397155531e-2f);
+  q = fmadd(q, z, 1.33314422036e-1f);
+  q = fmadd(q, z, -3.33332819422e-1f);
+  const float small = fmadd(q * z, ax, ax);
+  // Otherwise 1 - 2 / (exp(2|x|) + 1): +-inf gives exactly 1, NaN stays NaN.
+  const float large = 1.0f - 2.0f / (exp_one(ax + ax) + 1.0f);
+  return float_of(bits_of(select(ax < 0.625f, small, large)) | (bits_of(x) & k_sign_bit));
+}
+
+// GELU, tanh form: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
+constexpr float k_sqrt_2_over_pi = 0.7978845608f;
+constexpr float k_gelu_cubic = 0.044715f;
+
+void exp_shifted(const float* x, float shift, float* out, std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) out[i] = exp_one(x[i] - shift);
+}
+
+void tanh_map(const float* x, float* out, std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) out[i] = tanh_one(x[i]);
+}
+
+void gelu(const float* x, float* out, std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    const float v = x[i];
+    const float u = k_sqrt_2_over_pi * (v + k_gelu_cubic * v * v * v);
+    out[i] = 0.5f * v * (1.0f + tanh_one(u));
+  }
+}
+
+void gelu_backward(const float* x, const float* g, float* out, std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    const float v = x[i];
+    const float u = k_sqrt_2_over_pi * (v + k_gelu_cubic * v * v * v);
+    const float t = tanh_one(u);
+    const float du = k_sqrt_2_over_pi * (1.0f + 3.0f * k_gelu_cubic * v * v);
+    out[i] = g[i] * (0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du);
+  }
+}
+
 }  // namespace
 
 // Declared extern in kernel_tier.h, so this definition has external linkage.
-const kernel_tier_fns fns{&gemm, &gemm_bt, &qgemm, &quantize};
+const kernel_tier_fns fns{&gemm,     &gemm_bt,  &qgemm, &quantize, &exp_shifted,
+                          &tanh_map, &gelu, &gelu_backward};
 
 }  // namespace pelta::ops::detail::PELTA_KERNEL_TIER_NS

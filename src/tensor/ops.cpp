@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/kernel_tier.h"
 #include "tensor/kernels.h"
 #include "tensor/parallel.h"
 
@@ -52,6 +53,18 @@ tensor unary(const tensor& a, const F& f) {
   return out;
 }
 
+// unary() for a tier kernel: kernel(in, out, count) runs over each chunk.
+template <class K>
+tensor unary_kernel(const tensor& a, const K& kernel) {
+  tensor out{a.shape()};
+  const float* pa = a.data().data();
+  float* po = out.data().data();
+  elementwise_dispatch(out.numel(), [&](std::int64_t lo, std::int64_t hi) {
+    kernel(pa + lo, po + lo, hi - lo);
+  });
+  return out;
+}
+
 }  // namespace
 
 tensor add(const tensor& a, const tensor& b) {
@@ -81,17 +94,11 @@ tensor neg(const tensor& a) {
 tensor relu(const tensor& a) {
   return unary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
-tensor exp(const tensor& a) {
-  return unary(a, [](float x) { return std::exp(x); });
-}
 tensor log(const tensor& a) {
   return unary(a, [](float x) { return std::log(x); });
 }
 tensor sqrt(const tensor& a) {
   return unary(a, [](float x) { return std::sqrt(x); });
-}
-tensor tanh(const tensor& a) {
-  return unary(a, [](float x) { return std::tanh(x); });
 }
 tensor abs(const tensor& a) {
   return unary(a, [](float x) { return std::fabs(x); });
@@ -108,6 +115,59 @@ tensor clamp(const tensor& a, float lo, float hi) {
 
 tensor map(const tensor& a, const std::function<float(float)>& f) {
   return unary(a, f);
+}
+
+tensor exp(const tensor& a) {
+  return unary_kernel(a, [](const float* x, float* out, std::int64_t count) {
+    detail::active_kernel_fns().exp_shifted(x, 0.0f, out, count);  // x - 0 == x
+  });
+}
+
+tensor tanh(const tensor& a) { return unary_kernel(a, detail::active_kernel_fns().tanh); }
+
+void exp_shifted(std::span<const float> x, float shift, std::span<float> out) {
+  PELTA_CHECK_MSG(x.size() == out.size(),
+                  "exp_shifted size mismatch " << x.size() << " vs " << out.size());
+  detail::active_kernel_fns().exp_shifted(x.data(), shift, out.data(),
+                                          static_cast<std::int64_t>(out.size()));
+}
+
+tensor gelu(const tensor& x) { return unary_kernel(x, detail::active_kernel_fns().gelu); }
+
+tensor gelu_backward(const tensor& g, const tensor& x) {
+  PELTA_CHECK_MSG(g.same_shape(x), "gelu_backward shape mismatch "
+                                       << to_string(g.shape()) << " vs " << to_string(x.shape()));
+  const auto kernel = detail::active_kernel_fns().gelu_backward;
+  tensor out{x.shape()};
+  const float* px = x.data().data();
+  const float* pg = g.data().data();
+  float* po = out.data().data();
+  elementwise_dispatch(out.numel(), [&](std::int64_t lo, std::int64_t hi) {
+    kernel(px + lo, pg + lo, po + lo, hi - lo);
+  });
+  return out;
+}
+
+void add_rows_(tensor& a, const tensor& row) {
+  const std::int64_t width = row.numel();
+  PELTA_CHECK_MSG(width > 0 && a.numel() % width == 0,
+                  "add_rows_ " << to_string(row.shape()) << " onto " << to_string(a.shape()));
+  const float* pr = row.data().data();
+  float* pa = a.data().data();
+  for (std::int64_t r = 0, rows = a.numel() / width; r < rows; ++r, pa += width)
+    for (std::int64_t c = 0; c < width; ++c) pa[c] += pr[c];
+}
+
+tensor sum_rows(const tensor& a, shape_t row_shape) {
+  tensor out{std::move(row_shape)};
+  const std::int64_t width = out.numel();
+  PELTA_CHECK_MSG(width > 0 && a.numel() % width == 0,
+                  "sum_rows of " << to_string(a.shape()) << " into " << to_string(out.shape()));
+  const float* pa = a.data().data();
+  float* po = out.data().data();
+  for (std::int64_t r = 0, rows = a.numel() / width; r < rows; ++r, pa += width)
+    for (std::int64_t c = 0; c < width; ++c) po[c] += pa[c];
+  return out;
 }
 
 float sum(const tensor& a) {
@@ -185,13 +245,13 @@ constexpr std::int64_t k_parallel_flops = 1 << 15;
 
 }  // namespace
 
-tensor matmul(const tensor& a, const tensor& b) {
-  PELTA_CHECK_MSG(a.ndim() == 2 && b.ndim() == 2,
-                  "matmul expects 2-d, got " << to_string(a.shape()) << " x " << to_string(b.shape()));
-  PELTA_CHECK_MSG(a.size(1) == b.size(0),
-                  "matmul inner dim mismatch " << to_string(a.shape()) << " x " << to_string(b.shape()));
-  const std::int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  tensor out{shape_t{m, n}};
+namespace {
+
+// The rows of `a` (a.numel() / b.size(0) of them, k = b.size(0) wide) times
+// b [k, n], into a fresh tensor of `out_shape`. Callers check the shapes.
+tensor matmul_rows(const tensor& a, const tensor& b, shape_t out_shape) {
+  const std::int64_t k = b.size(0), n = b.size(1), m = a.numel() / k;
+  tensor out{std::move(out_shape)};
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* po = out.data().data();
@@ -212,6 +272,25 @@ tensor matmul(const tensor& a, const tensor& b) {
     gemm_accumulate(pa, pb, po, m, k, n, b_finite);
   }
   return out;
+}
+
+}  // namespace
+
+tensor matmul(const tensor& a, const tensor& b) {
+  PELTA_CHECK_MSG(a.ndim() == 2 && b.ndim() == 2,
+                  "matmul expects 2-d, got " << to_string(a.shape()) << " x " << to_string(b.shape()));
+  PELTA_CHECK_MSG(a.size(1) == b.size(0),
+                  "matmul inner dim mismatch " << to_string(a.shape()) << " x " << to_string(b.shape()));
+  return matmul_rows(a, b, {a.size(0), b.size(1)});
+}
+
+tensor matmul_lastdim(const tensor& a, const tensor& b) {
+  PELTA_CHECK_MSG(a.ndim() >= 1 && b.ndim() == 2 && a.size(-1) == b.size(0),
+                  "matmul_lastdim shapes " << to_string(a.shape()) << " x "
+                                           << to_string(b.shape()));
+  shape_t out_shape = a.shape();
+  out_shape.back() = b.size(1);
+  return matmul_rows(a, b, std::move(out_shape));
 }
 
 tensor bmm(const tensor& a, const tensor& b) {
@@ -237,12 +316,21 @@ tensor bmm(const tensor& a, const tensor& b) {
   return out;
 }
 
+namespace {
+
+// out[j, i] = a[i, j] for a [m, n] row-major block.
+void transpose_into(const float* a, float* out, std::int64_t m, std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) out[j * m + i] = a[i * n + j];
+}
+
+}  // namespace
+
 tensor transpose2d(const tensor& a) {
   PELTA_CHECK_MSG(a.ndim() == 2, "transpose2d on " << to_string(a.shape()));
   const std::int64_t m = a.size(0), n = a.size(1);
   tensor out{shape_t{n, m}};
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j) out.at(j, i) = a.at(i, j);
+  transpose_into(a.data().data(), out.data().data(), m, n);
   return out;
 }
 
@@ -250,9 +338,9 @@ tensor transpose_last2(const tensor& a) {
   PELTA_CHECK_MSG(a.ndim() == 3, "transpose_last2 on " << to_string(a.shape()));
   const std::int64_t b = a.size(0), m = a.size(1), n = a.size(2);
   tensor out{shape_t{b, n, m}};
-  for (std::int64_t t = 0; t < b; ++t)
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t j = 0; j < n; ++j) out.at(t, j, i) = a.at(t, i, j);
+  const float* pa = a.data().data();
+  float* po = out.data().data();
+  for (std::int64_t t = 0; t < b; ++t) transpose_into(pa + t * m * n, po + t * m * n, m, n);
   return out;
 }
 

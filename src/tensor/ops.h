@@ -1,7 +1,8 @@
 // Dense tensor kernels: elementwise maps, reductions, matrix products.
 //
 // These free functions are the numeric backbone used by the autodiff ops;
-// they perform full shape checking and always return fresh tensors.
+// they perform full shape checking and return fresh tensors, except
+// add_rows_ (in place) and exp_shifted (into the caller's row).
 #pragma once
 
 #include <functional>
@@ -26,10 +27,8 @@ tensor mul_scalar(const tensor& a, float s);
 
 tensor neg(const tensor& a);
 tensor relu(const tensor& a);
-tensor exp(const tensor& a);
 tensor log(const tensor& a);
 tensor sqrt(const tensor& a);
-tensor tanh(const tensor& a);
 tensor abs(const tensor& a);
 /// -1, 0 or +1 per element (the FGSM/PGD "sign" operator).
 tensor sign(const tensor& a);
@@ -39,6 +38,34 @@ tensor clamp(const tensor& a, float lo, float hi);
 /// `f` must be pure (no internal state, safe to call concurrently and in
 /// any element order).
 tensor map(const tensor& a, const std::function<float(float)>& f);
+
+// ---- activation transcendentals -----------------------------------------------
+//
+// exp, tanh and GELU run in-repo polynomial kernels (tensor/kernel_tier.h),
+// not libm: within 1 ulp, bit-identical on every kernel tier and on every
+// host, whatever its libm version. exp is exactly +0 below FLT_MIN's range
+// and +inf above FLT_MAX's; tanh(+-inf) is +-1; NaN propagates through all
+// of them.
+
+tensor exp(const tensor& a);
+tensor tanh(const tensor& a);
+/// out[i] = exp(x[i] - shift), the row exponential of softmax; out and x
+/// must have the same size.
+void exp_shifted(std::span<const float> x, float shift, std::span<float> out);
+/// GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
+tensor gelu(const tensor& x);
+/// g * d gelu(x) / dx, elementwise; g and x must have the same shape.
+tensor gelu_backward(const tensor& g, const tensor& x);
+
+// ---- row broadcast (biases) ------------------------------------------------------
+
+/// a[r, c] += row[c], in place, over `a` viewed as rows of row.numel()
+/// elements (a.numel() must be a multiple). Rows ascending.
+void add_rows_(tensor& a, const tensor& row);
+/// Sum of the rows of `a` viewed as rows of numel_of(row_shape) elements,
+/// shaped row_shape: the gradient of add_rows_ with respect to `row`. Each
+/// column accumulates in float over ascending rows.
+tensor sum_rows(const tensor& a, shape_t row_shape);
 
 // ---- reductions ---------------------------------------------------------------
 
@@ -63,6 +90,9 @@ float dot(const tensor& a, const tensor& b);
 
 /// [M,K] x [K,N] -> [M,N].
 tensor matmul(const tensor& a, const tensor& b);
+/// [..., K] x [K, N] -> [..., N]: matmul with the leading dimensions of `a`
+/// as rows, read in place (bitwise the matmul of a reshaped copy).
+tensor matmul_lastdim(const tensor& a, const tensor& b);
 /// Batched [B,M,K] x [B,K,N] -> [B,M,N].
 tensor bmm(const tensor& a, const tensor& b);
 /// [M,N] -> [N,M].

@@ -123,13 +123,14 @@ public:
 
   // ---- shape manipulation (always cheap or O(n) copy) -----------------------
 
-  /// Same data, new shape (numel must match).
-  tensor reshape(shape_t new_shape) const {
+  /// Same data, new shape (numel must match). Copies the data of an
+  /// lvalue; an rvalue hands its buffer over.
+  tensor reshape(shape_t new_shape) const& { return tensor{*this}.reshape(std::move(new_shape)); }
+  tensor reshape(shape_t new_shape) && {
     PELTA_CHECK_MSG(numel_of(new_shape) == numel(),
                     "reshape " << to_string(shape_) << " -> " << to_string(new_shape));
-    tensor t = *this;
-    t.shape_ = std::move(new_shape);
-    return t;
+    shape_ = std::move(new_shape);
+    return std::move(*this);
   }
 
   tensor flatten() const { return reshape({numel()}); }

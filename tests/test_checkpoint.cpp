@@ -140,6 +140,32 @@ TEST(Checkpoint, TruncationIsDetected) {
   EXPECT_THROW(load_checkpoint(*fresh, path), checkpoint_error);
 }
 
+TEST(Checkpoint, HugePayloadLengthFailsBeforeAllocating) {
+  const auto& f = fixture::get();
+  const std::string path = temp_path("huge_payload");
+  save_checkpoint(*f.vit, path);
+
+  // Keep the real header up to the payload length, claim 2^60 payload
+  // bytes, and leave only a few real ones behind it.
+  std::ifstream in{path, std::ios::binary};
+  std::string bytes{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+  in.close();
+  const std::string& name = f.vit->name();
+  const std::size_t length_at = 8 + 4 + 4 + name.size();  // magic, version, name
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  bytes.replace(length_at, sizeof(huge), reinterpret_cast<const char*>(&huge), sizeof(huge));
+  bytes.resize(length_at + sizeof(huge) + 16);
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+
+  models::task_spec task;
+  task.classes = 4;
+  auto fresh = models::make_vit_b16_sim(task);
+  EXPECT_THROW(load_checkpoint(*fresh, path), checkpoint_error);
+  EXPECT_EQ(checkpoint_model_name(path), name);  // the header itself still reads
+}
+
 TEST(Checkpoint, BitFlipInPayloadIsDetected) {
   const auto& f = fixture::get();
   const std::string path = temp_path("corrupted");

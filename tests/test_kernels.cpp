@@ -1,7 +1,8 @@
-// Kernel suite for the blocked GEMM micro-kernels and the scratch arena.
+// Kernel suite for the blocked GEMM micro-kernels, the activation
+// transcendentals and the scratch arena.
 //
-// The BlockedGemm cases run once per kernel tier the host supports
-// (kernel_tier_param.h), each against the same frozen reference.
+// The BlockedGemm and Transcendentals cases run once per kernel tier the
+// host supports (kernel_tier_param.h), each against the same reference.
 //
 // The blocked kernels promise bit-identity with the classic i-k-j loop on
 // every path (full register tiles, row tails, column tails, any row split a
@@ -19,9 +20,12 @@
 #include <limits>
 #include <vector>
 
+#include "autodiff/graph.h"
+#include "autodiff/ops_elementwise.h"
 #include "kernel_tier_param.h"
 #include "reference_kernels.h"
 #include "tensor/conv.h"
+#include "tensor/kernel_tier.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
@@ -243,6 +247,160 @@ TEST(Elementwise, BitIdenticalAcrossThreadWidths) {
                              static_cast<std::size_t>(pooled[i].numel()) * sizeof(float)))
         << "op index " << i;
   }
+}
+
+// ---- activation transcendentals ----------------------------------------------
+//
+// exp, tanh and the GELU loops are in-repo tier kernels. Every tier must give
+// the baseline tier's bits, stay within 2 ulp of a double-precision
+// reference, and keep the IEEE edge cases: exact +0 below the normal range,
+// tanh(+-inf) = +-1, NaN in -> NaN out.
+
+class Transcendentals : public kernel_tier_test {};
+INSTANTIATE_TEST_SUITE_P(Tiers, Transcendentals, every_kernel_tier(), kernel_tier_param_name);
+
+constexpr float k_inf = std::numeric_limits<float>::infinity();
+constexpr float k_nan = std::numeric_limits<float>::quiet_NaN();
+
+float float_from_bits(std::uint32_t u) {
+  float f = 0.0f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+// Position on the monotone integer line of floats: adjacent floats differ
+// by 1, and +0 / -0 share 0.
+std::int64_t float_ordinal(float f) {
+  std::int32_t i = 0;
+  std::memcpy(&i, &f, sizeof(i));
+  return i < 0 ? -static_cast<std::int64_t>(i & 0x7fffffff) : i;
+}
+
+std::int64_t ulp_distance(float x, float y) {
+  const std::int64_t d = float_ordinal(x) - float_ordinal(y);
+  return d < 0 ? -d : d;
+}
+
+// Every finite float at a fixed bit stride (about 1M of them, all binades,
+// both signs), plus a dense uniform sample of the range activations live in.
+std::vector<float> sweep_inputs() {
+  std::vector<float> x;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4099) {
+    const float f = float_from_bits(static_cast<std::uint32_t>(u));
+    if (std::isfinite(f)) x.push_back(f);
+  }
+  rng gen{61};
+  for (int i = 0; i < (1 << 16); ++i) x.push_back(gen.uniform(-20.0f, 20.0f));
+  return x;
+}
+
+tensor vector_tensor(const std::vector<float>& v) {
+  return tensor{shape_t{static_cast<std::int64_t>(v.size())}, v};
+}
+
+void expect_same_bits(const tensor& got, const tensor& want, const char* what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  EXPECT_EQ(0, std::memcmp(got.data().data(), want.data().data(),
+                           static_cast<std::size_t>(got.numel()) * sizeof(float)))
+      << what << ": bits differ";
+}
+
+TEST_P(Transcendentals, BitEqualToTheBaselineTier) {
+  const tensor x = vector_tensor(sweep_inputs());
+  rng gen{67};
+  const tensor g = tensor::randn(gen, x.shape());
+  const auto& base = ops::detail::tier_baseline::fns;
+  const auto n = x.numel();
+  tensor want_exp{x.shape()}, want_tanh{x.shape()}, want_gelu{x.shape()}, want_dgelu{x.shape()};
+  base.exp_shifted(x.data().data(), 0.0f, want_exp.data().data(), n);
+  base.tanh(x.data().data(), want_tanh.data().data(), n);
+  base.gelu(x.data().data(), want_gelu.data().data(), n);
+  base.gelu_backward(x.data().data(), g.data().data(), want_dgelu.data().data(), n);
+  expect_same_bits(ops::exp(x), want_exp, "exp");
+  expect_same_bits(ops::tanh(x), want_tanh, "tanh");
+  expect_same_bits(ops::gelu(x), want_gelu, "gelu");
+  expect_same_bits(ops::gelu_backward(g, x), want_dgelu, "gelu_backward");
+}
+
+TEST_P(Transcendentals, WithinTwoUlpOfDoublePrecision) {
+  const std::vector<float> xs = sweep_inputs();
+  const tensor x = vector_tensor(xs);
+  const tensor e = ops::exp(x);
+  const tensor t = ops::tanh(x);
+  std::int64_t worst_exp = 0, worst_tanh = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double xd = xs[i];
+    // Below FLT_MIN's range exp flushes to +0 (the next test), so the ulp
+    // bound covers the normal range only.
+    if (std::exp(xd) >= std::numeric_limits<float>::min()) {
+      const std::int64_t d = ulp_distance(e[static_cast<std::int64_t>(i)],
+                                          static_cast<float>(std::exp(xd)));
+      worst_exp = std::max(worst_exp, d);
+      EXPECT_LE(d, 2) << "exp(" << xs[i] << ")";
+    }
+    const std::int64_t d = ulp_distance(t[static_cast<std::int64_t>(i)],
+                                        static_cast<float>(std::tanh(xd)));
+    worst_tanh = std::max(worst_tanh, d);
+    EXPECT_LE(d, 2) << "tanh(" << xs[i] << ")";
+    if (HasFailure()) return;  // one report, not a million
+  }
+  RecordProperty("worst_exp_ulp", static_cast<int>(worst_exp));
+  RecordProperty("worst_tanh_ulp", static_cast<int>(worst_tanh));
+}
+
+TEST_P(Transcendentals, ExpFlushesToExactZeroBelowTheNormalRange) {
+  const std::vector<float> below{-87.3366f, -87.5f, -100.0f, -1e4f, -1e30f,
+                                 -std::numeric_limits<float>::max(), -k_inf};
+  const tensor e = ops::exp(vector_tensor(below));
+  for (std::int64_t i = 0; i < e.numel(); ++i) {
+    EXPECT_EQ(e[i], 0.0f) << "exp(" << below[static_cast<std::size_t>(i)] << ")";
+    EXPECT_FALSE(std::signbit(e[i])) << "exp(" << below[static_cast<std::size_t>(i)] << ")";
+  }
+  // The smallest input above the cut still lands in the normal range.
+  EXPECT_GE(ops::exp(vector_tensor({-87.33654f}))[0], std::numeric_limits<float>::min());
+  const tensor big = ops::exp(vector_tensor({88.8f, 1e30f, k_inf}));
+  for (std::int64_t i = 0; i < big.numel(); ++i) EXPECT_EQ(big[i], k_inf);
+  EXPECT_EQ(ops::exp(vector_tensor({0.0f, -0.0f}))[1], 1.0f);
+
+  // A masked softmax entry (-inf) gets exactly zero weight, the others
+  // still sum to one.
+  ad::graph gr;
+  const ad::node_id in = gr.add_input(tensor{shape_t{2, 4}, {1.0f, -k_inf, 0.5f, -2.0f,  //
+                                                             -k_inf, 3.0f, -k_inf, 2.0f}});
+  const tensor& p = gr.value(gr.add_transform(ad::make_softmax_lastdim(), {in}));
+  for (std::int64_t i : {1, 4, 6}) EXPECT_EQ(p[i], 0.0f) << "softmax entry " << i;
+  for (std::int64_t r = 0; r < 2; ++r)
+    EXPECT_NEAR(p[4 * r] + p[4 * r + 1] + p[4 * r + 2] + p[4 * r + 3], 1.0f, 1e-6f);
+}
+
+TEST_P(Transcendentals, NanPropagatesAndTanhSaturates) {
+  const tensor nan = vector_tensor({k_nan, -k_nan});
+  for (const tensor& y : {ops::exp(nan), ops::tanh(nan), ops::gelu(nan),
+                          ops::gelu_backward(tensor::ones(nan.shape()), nan)})
+    for (std::int64_t i = 0; i < y.numel(); ++i) EXPECT_TRUE(std::isnan(y[i]));
+  // A NaN upstream gradient surfaces too, on a perfectly finite x.
+  const tensor dg = ops::gelu_backward(vector_tensor({k_nan, k_nan}), vector_tensor({0.5f, -3.0f}));
+  for (std::int64_t i = 0; i < dg.numel(); ++i) EXPECT_TRUE(std::isnan(dg[i]));
+
+  const tensor t = ops::tanh(vector_tensor({k_inf, -k_inf, 50.0f, -50.0f, 0.0f, -0.0f}));
+  EXPECT_EQ(t[0], 1.0f);
+  EXPECT_EQ(t[1], -1.0f);
+  EXPECT_EQ(t[2], 1.0f);
+  EXPECT_EQ(t[3], -1.0f);
+  EXPECT_EQ(t[4], 0.0f);
+  EXPECT_TRUE(std::signbit(t[5]));  // odd: tanh(-0) = -0
+}
+
+TEST_P(Transcendentals, GeluBitIdenticalAcrossThreadWidths) {
+  rng gen{71};
+  const std::int64_t count = (1 << 17) + 7;  // above the elementwise grain, odd tail
+  const tensor x = tensor::randn(gen, {count}, 0.0f, 3.0f);
+  const tensor g = tensor::randn(gen, {count});
+  const tensor fwd = ops::gelu(x);
+  const tensor bwd = ops::gelu_backward(g, x);
+  serial_guard guard;
+  expect_same_bits(ops::gelu(x), fwd, "serial gelu");
+  expect_same_bits(ops::gelu_backward(g, x), bwd, "serial gelu_backward");
 }
 
 // Direct-convolution reference accumulating in the same (ci, ky, kx) order
