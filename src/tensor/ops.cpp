@@ -148,24 +148,32 @@ tensor gelu_backward(const tensor& g, const tensor& x) {
   return out;
 }
 
+namespace {
+
+// Number of rows of `width` elements that `a` holds; a zero width fits only
+// an empty tensor.
+std::int64_t rows_of(const tensor& a, std::int64_t width) {
+  PELTA_CHECK_MSG(width > 0 ? a.numel() % width == 0 : a.numel() == 0,
+                  to_string(a.shape()) << " is not made of rows of " << width);
+  return width > 0 ? a.numel() / width : 0;
+}
+
+}  // namespace
+
 void add_rows_(tensor& a, const tensor& row) {
   const std::int64_t width = row.numel();
-  PELTA_CHECK_MSG(width > 0 && a.numel() % width == 0,
-                  "add_rows_ " << to_string(row.shape()) << " onto " << to_string(a.shape()));
   const float* pr = row.data().data();
   float* pa = a.data().data();
-  for (std::int64_t r = 0, rows = a.numel() / width; r < rows; ++r, pa += width)
+  for (std::int64_t r = 0, rows = rows_of(a, width); r < rows; ++r, pa += width)
     for (std::int64_t c = 0; c < width; ++c) pa[c] += pr[c];
 }
 
 tensor sum_rows(const tensor& a, shape_t row_shape) {
   tensor out{std::move(row_shape)};
   const std::int64_t width = out.numel();
-  PELTA_CHECK_MSG(width > 0 && a.numel() % width == 0,
-                  "sum_rows of " << to_string(a.shape()) << " into " << to_string(out.shape()));
   const float* pa = a.data().data();
   float* po = out.data().data();
-  for (std::int64_t r = 0, rows = a.numel() / width; r < rows; ++r, pa += width)
+  for (std::int64_t r = 0, rows = rows_of(a, width); r < rows; ++r, pa += width)
     for (std::int64_t c = 0; c < width; ++c) po[c] += pa[c];
   return out;
 }
@@ -247,10 +255,10 @@ constexpr std::int64_t k_parallel_flops = 1 << 15;
 
 namespace {
 
-// The rows of `a` (a.numel() / b.size(0) of them, k = b.size(0) wide) times
-// b [k, n], into a fresh tensor of `out_shape`. Callers check the shapes.
-tensor matmul_rows(const tensor& a, const tensor& b, shape_t out_shape) {
-  const std::int64_t k = b.size(0), n = b.size(1), m = a.numel() / k;
+// The m rows of `a` (k = b.size(0) wide) times b [k, n], into a fresh
+// tensor of `out_shape`. Callers check the shapes.
+tensor matmul_rows(const tensor& a, std::int64_t m, const tensor& b, shape_t out_shape) {
+  const std::int64_t k = b.size(0), n = b.size(1);
   tensor out{std::move(out_shape)};
   const float* pa = a.data().data();
   const float* pb = b.data().data();
@@ -281,7 +289,7 @@ tensor matmul(const tensor& a, const tensor& b) {
                   "matmul expects 2-d, got " << to_string(a.shape()) << " x " << to_string(b.shape()));
   PELTA_CHECK_MSG(a.size(1) == b.size(0),
                   "matmul inner dim mismatch " << to_string(a.shape()) << " x " << to_string(b.shape()));
-  return matmul_rows(a, b, {a.size(0), b.size(1)});
+  return matmul_rows(a, a.size(0), b, {a.size(0), b.size(1)});
 }
 
 tensor matmul_lastdim(const tensor& a, const tensor& b) {
@@ -290,7 +298,8 @@ tensor matmul_lastdim(const tensor& a, const tensor& b) {
                                            << to_string(b.shape()));
   shape_t out_shape = a.shape();
   out_shape.back() = b.size(1);
-  return matmul_rows(a, b, std::move(out_shape));
+  const std::int64_t m = numel_of(shape_t{a.shape().begin(), a.shape().end() - 1});
+  return matmul_rows(a, m, b, std::move(out_shape));
 }
 
 tensor bmm(const tensor& a, const tensor& b) {

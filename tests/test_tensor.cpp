@@ -8,6 +8,7 @@
 
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
+#include "tensor/rng.h"
 #include "tensor/serialize.h"
 #include "tensor/tensor.h"
 
@@ -107,6 +108,18 @@ TEST(Tensor, ReshapePreservesData) {
   tensor f = t.flatten();
   EXPECT_EQ(f.ndim(), 1);
   EXPECT_THROW(t.reshape({4}), error);
+}
+
+TEST(Tensor, RvalueReshapeHandsOverTheBuffer) {
+  tensor t = tensor::arange(6);
+  const float* buffer = t.data().data();
+  tensor r = std::move(t).reshape({3, 2});
+  EXPECT_EQ(r.data().data(), buffer);
+  EXPECT_EQ(r.shape(), (shape_t{3, 2}));
+  EXPECT_THROW(std::move(r).reshape({4}), error);
+  EXPECT_EQ(r.shape(), (shape_t{3, 2}));  // a failed reshape leaves it intact
+  const tensor copy = r.reshape({6});
+  EXPECT_NE(copy.data().data(), r.data().data());
 }
 
 TEST(Tensor, InPlaceArithmetic) {
@@ -227,6 +240,40 @@ TEST(Ops, Transpose) {
   tensor bt = ops::transpose_last2(b);
   EXPECT_EQ(bt.shape(), (shape_t{1, 3, 2}));
   EXPECT_FLOAT_EQ(bt.at(0, 0, 1), 4.0f);
+}
+
+TEST(Ops, MatmulLastdimIsTheMatmulOfTheFlattenedRows) {
+  rng gen{19};
+  for (const shape_t& xs : {shape_t{3, 5, 7}, shape_t{2, 0, 7}, shape_t{4, 3, 0}, shape_t{9}}) {
+    const std::int64_t k = xs.back();
+    const tensor x = tensor::randn(gen, xs);
+    const tensor w = tensor::randn(gen, {k, 6});
+    const tensor got = ops::matmul_lastdim(x, w);
+    shape_t want_shape = xs;
+    want_shape.back() = 6;
+    ASSERT_EQ(got.shape(), want_shape);
+    const std::int64_t rows = numel_of(shape_t{xs.begin(), xs.end() - 1});
+    const tensor want = ops::matmul(x.reshape({rows, k}), w);
+    ASSERT_EQ(want.numel(), got.numel());
+    if (got.numel() > 0) {
+      EXPECT_EQ(0, std::memcmp(want.data().data(), got.data().data(),
+                               static_cast<std::size_t>(got.numel()) * sizeof(float)));
+    }
+  }
+  EXPECT_THROW(ops::matmul_lastdim(tensor{shape_t{2, 3}}, tensor{shape_t{4, 2}}), error);
+}
+
+TEST(Ops, RowBroadcastAddAndSum) {
+  tensor a{{2, 3}, {1, 2, 3, 4, 5, 6}};
+  ops::add_rows_(a, tensor{{3}, {10, 20, 30}});
+  EXPECT_EQ(a.data()[4], 25.0f);
+  const tensor s = ops::sum_rows(a, {3});
+  EXPECT_EQ(s.data()[0], 25.0f);
+  EXPECT_EQ(s.data()[2], 69.0f);
+  EXPECT_THROW(ops::add_rows_(a, tensor{{4}, {1, 2, 3, 4}}), error);
+  tensor empty{shape_t{5, 0}};
+  ops::add_rows_(empty, tensor{shape_t{0}});  // zero-width rows of an empty tensor
+  EXPECT_EQ(ops::sum_rows(empty, {0}).numel(), 0);
 }
 
 TEST(Serialize, RoundTrip) {
