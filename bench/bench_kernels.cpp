@@ -15,7 +15,9 @@
 // the serial inner-kernel baseline the thread-pool scaling bench multiplies.
 // It also reports, without a gate, ns per element of the GELU forward loop
 // and the softmax row exponential on every supported kernel tier, next to
-// the libm loops they replaced.
+// the libm loops they replaced, and the time of conv2d forward,
+// backward-input and backward-weight at the ResNet-56-sim shapes next to
+// the im2col + frozen reference GEMM formulation (bit-checked).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -29,6 +31,7 @@
 #include "tensor/conv.h"
 #include "tensor/kernel_tier.h"
 #include "tensor/kernels.h"
+#include "tensor/ops.h"
 #include "tensor/parallel.h"
 #include "tensor/quantized_tensor.h"
 #include "tensor/rng.h"
@@ -41,11 +44,12 @@ namespace {
 using pelta::rng;
 using pelta::ops::detail::finite_cache;
 using pelta::ops::detail::gemm_accumulate;
-using pelta::ops::detail::gemm_accumulate_bt;
 // THE frozen pre-PR baseline, shared with tests/test_kernels.cpp so the
 // test suite and this gate measure against one identical kernel.
 using pelta::ops::reference::reference_gemm;
+using pelta::ops::reference::reference_col2im;
 using pelta::ops::reference::reference_gemm_bt;
+using pelta::ops::reference::reference_im2col;
 
 struct shape {
   const char* name;  // which model layer this GEMM comes from
@@ -96,7 +100,6 @@ std::vector<float> random_vec(rng& gen, std::int64_t count, float zero_fraction)
 struct result {
   shape s;
   double ref_gflops = 0, blocked_gflops = 0, speedup = 0;
-  double bt_ref_gflops = 0, bt_gflops = 0, bt_speedup = 0;
 };
 
 // Default speedup gate: 3x where the build rounds with FMA (PELTA_NATIVE).
@@ -173,6 +176,92 @@ void gelu_libm(const float* x, float* out, std::int64_t count) {
   }
 }
 
+// The distinct conv layers of ResNet-56-sim (16x16x3 input, stage widths
+// 8/16/32, two blocks per stage), each timed at the training batch.
+struct conv_shape {
+  const char* name;
+  std::int64_t c, hw, oc, k, stride, pad;
+};
+const conv_shape k_conv_shapes[] = {
+    {"stem 3->8 3x3 @16", 3, 16, 8, 3, 1, 1},
+    {"s0 8->8 3x3 @16", 8, 16, 8, 3, 1, 1},
+    {"s1b0.conv1 8->16 3x3/2 @16", 8, 16, 16, 3, 2, 1},
+    {"s1b0.proj 8->16 1x1/2 @16", 8, 16, 16, 1, 2, 0},
+    {"s1 16->16 3x3 @8", 16, 8, 16, 3, 1, 1},
+    {"s2b0.conv1 16->32 3x3/2 @8", 16, 8, 32, 3, 2, 1},
+    {"s2b0.proj 16->32 1x1/2 @8", 16, 8, 32, 1, 2, 0},
+    {"s2 32->32 3x3 @4", 32, 4, 32, 3, 1, 1},
+};
+constexpr std::int64_t k_conv_batch = 16;
+
+// Milliseconds per batch, library vs the reference formulation.
+struct conv_result {
+  const conv_shape* s = nullptr;
+  double forward_ms = 0, forward_ref_ms = 0;
+  double backward_input_ms = 0, backward_input_ref_ms = 0;
+  double backward_weight_ms = 0, backward_weight_ref_ms = 0;
+};
+
+// The reference formulations: per image, branchy im2col / col2im around the
+// frozen GEMMs — forward cols = im2col(x), out = W x cols; backward-input
+// cols = Wᵀ x grad, col2im; backward-weight grad_W += grad x im2col(x)ᵀ
+// through reference_gemm_bt. Each matches the library bit for bit.
+struct conv_reference {
+  explicit conv_reference(const conv_shape& s) : s{s} {
+    oh = (s.hw + 2 * s.pad - s.k) / s.stride + 1;
+    krows = s.c * s.k * s.k;
+    spatial = oh * oh;
+    cols.resize(static_cast<std::size_t>(krows * spatial));
+  }
+
+  void forward(const pelta::tensor& x, const pelta::tensor& wt, const pelta::tensor& bias,
+               pelta::tensor& out) {
+    for (std::int64_t n = 0; n < k_conv_batch; ++n) {
+      reference_im2col(x.data().data() + n * s.c * s.hw * s.hw, cols.data(), s.c, s.hw, s.hw,
+                       s.k, s.k, s.stride, s.pad, oh, oh);
+      float* obase = out.data().data() + n * s.oc * spatial;
+      for (std::int64_t o = 0; o < s.oc; ++o)
+        std::fill(obase + o * spatial, obase + (o + 1) * spatial, bias[o]);
+      reference_gemm(wt.data().data(), cols.data(), obase, s.oc, krows, spatial);
+    }
+  }
+
+  void backward_input(const pelta::tensor& grad, const pelta::tensor& wt, pelta::tensor& gi) {
+    std::vector<float> wt_t(static_cast<std::size_t>(krows * s.oc));
+    const float* w = wt.data().data();
+    for (std::int64_t o = 0; o < s.oc; ++o)
+      for (std::int64_t r = 0; r < krows; ++r)
+        wt_t[static_cast<std::size_t>(r * s.oc + o)] = w[o * krows + r];
+    std::fill(gi.data().begin(), gi.data().end(), 0.0f);
+    for (std::int64_t n = 0; n < k_conv_batch; ++n) {
+      std::fill(cols.begin(), cols.end(), 0.0f);
+      reference_gemm(wt_t.data(), grad.data().data() + n * s.oc * spatial, cols.data(), krows,
+                     s.oc, spatial);
+      reference_col2im(cols.data(), gi.data().data() + n * s.c * s.hw * s.hw, s.c, s.hw, s.hw,
+                       s.k, s.k, s.stride, s.pad, oh, oh);
+    }
+  }
+
+  void backward_weight(const pelta::tensor& grad, const pelta::tensor& x, pelta::tensor& gw) {
+    std::fill(gw.data().begin(), gw.data().end(), 0.0f);
+    for (std::int64_t n = 0; n < k_conv_batch; ++n) {
+      reference_im2col(x.data().data() + n * s.c * s.hw * s.hw, cols.data(), s.c, s.hw, s.hw,
+                       s.k, s.k, s.stride, s.pad, oh, oh);
+      reference_gemm_bt(grad.data().data() + n * s.oc * spatial, cols.data(), gw.data().data(),
+                        s.oc, spatial, krows, bt_storage);
+    }
+  }
+
+  const conv_shape& s;
+  std::int64_t oh = 0, krows = 0, spatial = 0;
+  std::vector<float> cols, bt_storage;
+};
+
+bool same_bits(const pelta::tensor& x, const pelta::tensor& y) {
+  return x.same_shape(y) && std::memcmp(x.data().data(), y.data().data(),
+                                        static_cast<std::size_t>(x.numel()) * sizeof(float)) == 0;
+}
+
 }  // namespace
 
 int main() {
@@ -191,9 +280,8 @@ int main() {
     // by test_kernels; sparsity throughput is not part of this trajectory.
     const std::vector<float> a = random_vec(gen, s.m * s.k, 0.0f);
     const std::vector<float> b = random_vec(gen, s.k * s.n, 0.0f);
-    const std::vector<float> bt = random_vec(gen, s.n * s.k, 0.0f);
     std::vector<float> out_ref(static_cast<std::size_t>(s.m * s.n), 0.0f);
-    std::vector<float> out_new = out_ref, out_bt_ref = out_ref, out_bt_new = out_ref;
+    std::vector<float> out_new = out_ref;
 
     // Correctness first: one pass of each, compared bitwise.
     reference_gemm(a.data(), b.data(), out_ref.data(), s.m, s.k, s.n);
@@ -201,15 +289,7 @@ int main() {
       finite_cache cache;
       gemm_accumulate(a.data(), b.data(), out_new.data(), s.m, s.k, s.n, cache);
     }
-    std::vector<float> bt_scratch;
-    reference_gemm_bt(a.data(), bt.data(), out_bt_ref.data(), s.m, s.k, s.n, bt_scratch);
-    {
-      finite_cache cache;
-      gemm_accumulate_bt(a.data(), bt.data(), out_bt_new.data(), s.m, s.k, s.n, cache);
-    }
-    const std::size_t bytes = out_ref.size() * sizeof(float);
-    if (std::memcmp(out_ref.data(), out_new.data(), bytes) != 0 ||
-        std::memcmp(out_bt_ref.data(), out_bt_new.data(), bytes) != 0) {
+    if (std::memcmp(out_ref.data(), out_new.data(), out_ref.size() * sizeof(float)) != 0) {
       std::printf("!! %s: blocked kernel output differs from reference bitwise\n", s.name);
       bits_ok = false;
     }
@@ -227,25 +307,13 @@ int main() {
           finite_cache cache;
           gemm_accumulate(a.data(), b.data(), out_new.data(), s.m, s.k, s.n, cache);
         });
-    const auto [bt_ref_s, bt_new_s] = time_ab(
-        7, reps,
-        [&] { reference_gemm_bt(a.data(), bt.data(), out_bt_ref.data(), s.m, s.k, s.n, bt_scratch); },
-        [&] {
-          finite_cache cache;
-          gemm_accumulate_bt(a.data(), bt.data(), out_bt_new.data(), s.m, s.k, s.n, cache);
-        });
     r.ref_gflops = gf / ref_s;
     r.blocked_gflops = gf / new_s;
-    r.bt_ref_gflops = gf / bt_ref_s;
-    r.bt_gflops = gf / bt_new_s;
     r.speedup = r.blocked_gflops / r.ref_gflops;
-    r.bt_speedup = r.bt_gflops / r.bt_ref_gflops;
     results.push_back(r);
-    std::printf("%-32s m=%-4lld k=%-5lld n=%-5lld  ref %6.2f -> blocked %7.2f GF/s (%5.2fx)   "
-                "bt %6.2f -> %7.2f GF/s (%5.2fx)\n",
+    std::printf("%-32s m=%-4lld k=%-5lld n=%-5lld  ref %6.2f -> blocked %7.2f GF/s (%5.2fx)\n",
                 s.name, static_cast<long long>(s.m), static_cast<long long>(s.k),
-                static_cast<long long>(s.n), r.ref_gflops, r.blocked_gflops, r.speedup,
-                r.bt_ref_gflops, r.bt_gflops, r.bt_speedup);
+                static_cast<long long>(s.n), r.ref_gflops, r.blocked_gflops, r.speedup);
   }
 
   // ---- int8 quantized path vs the blocked fp32 kernel -----------------------
@@ -367,6 +435,82 @@ int main() {
     }
   }
 
+  // ---- conv2d at the ResNet-56-sim shapes: library vs reference -----------
+  // Report-only. Single thread, batch 16; inputs are ReLU outputs (as after
+  // every pre-activation block), weights and gradients dense. Both sides
+  // are timed in interleaved rounds, best of each.
+  std::printf("\nconv2d at the ResNet-56-sim shapes, batch %lld, ms per batch "
+              "(library vs im2col + frozen reference GEMM):\n",
+              static_cast<long long>(k_conv_batch));
+  bool conv_bits_ok = true;
+  std::vector<conv_result> cresults;
+  {
+    pelta::serial_guard guard;
+    for (const conv_shape& s : k_conv_shapes) {
+      conv_reference ref{s};
+      const pelta::tensor x =
+          pelta::ops::relu(pelta::tensor::randn(gen, {k_conv_batch, s.c, s.hw, s.hw}));
+      const pelta::tensor wt = pelta::tensor::randn(gen, {s.oc, s.c, s.k, s.k}, 0.0f, 0.2f);
+      const pelta::tensor bias = pelta::tensor::randn(gen, {s.oc}, 0.0f, 0.1f);
+      const pelta::tensor grad = pelta::tensor::randn(gen, {k_conv_batch, s.oc, ref.oh, ref.oh});
+      pelta::tensor out_ref{grad.shape()}, gi_ref{x.shape()}, gw_ref{wt.shape()};
+      pelta::tensor out_lib, gi_lib, gw_lib;
+      const auto lib_forward = [&] { out_lib = pelta::ops::conv2d(x, wt, bias, s.stride, s.pad); };
+      const auto lib_backward_input = [&] {
+        gi_lib = pelta::ops::conv2d_backward_input(grad, wt, s.stride, s.pad, x.shape());
+      };
+      const auto lib_backward_weight = [&] {
+        gw_lib = pelta::ops::conv2d_backward_weight(grad, x, s.stride, s.pad, wt.shape());
+      };
+      lib_forward();
+      lib_backward_input();
+      lib_backward_weight();
+      ref.forward(x, wt, bias, out_ref);
+      ref.backward_input(grad, wt, gi_ref);
+      ref.backward_weight(grad, x, gw_ref);
+      if (!same_bits(out_lib, out_ref) || !same_bits(gi_lib, gi_ref) ||
+          !same_bits(gw_lib, gw_ref)) {
+        std::printf("!! %s: conv2d differs from the reference formulation bitwise\n", s.name);
+        conv_bits_ok = false;
+      }
+      constexpr int rounds = 15;
+      constexpr std::int64_t reps = 4;
+      conv_result r;
+      r.s = &s;
+      const auto [fwd_ref_s, fwd_s] =
+          time_ab(rounds, reps, [&] { ref.forward(x, wt, bias, out_ref); }, lib_forward);
+      const auto [bin_ref_s, bin_s] =
+          time_ab(rounds, reps, [&] { ref.backward_input(grad, wt, gi_ref); }, lib_backward_input);
+      const auto [bwt_ref_s, bwt_s] =
+          time_ab(rounds, reps, [&] { ref.backward_weight(grad, x, gw_ref); }, lib_backward_weight);
+      r.forward_ms = fwd_s * 1e3;
+      r.forward_ref_ms = fwd_ref_s * 1e3;
+      r.backward_input_ms = bin_s * 1e3;
+      r.backward_input_ref_ms = bin_ref_s * 1e3;
+      r.backward_weight_ms = bwt_s * 1e3;
+      r.backward_weight_ref_ms = bwt_ref_s * 1e3;
+      cresults.push_back(r);
+      std::printf("  %-28s forward %6.3f (ref %6.3f)   backward-input %6.3f (ref %6.3f)   "
+                  "backward-weight %6.3f (ref %6.3f)\n",
+                  s.name, r.forward_ms, r.forward_ref_ms, r.backward_input_ms,
+                  r.backward_input_ref_ms, r.backward_weight_ms, r.backward_weight_ref_ms);
+    }
+  }
+  conv_result total;
+  for (const conv_result& r : cresults) {
+    total.forward_ms += r.forward_ms;
+    total.forward_ref_ms += r.forward_ref_ms;
+    total.backward_input_ms += r.backward_input_ms;
+    total.backward_input_ref_ms += r.backward_input_ref_ms;
+    total.backward_weight_ms += r.backward_weight_ms;
+    total.backward_weight_ref_ms += r.backward_weight_ref_ms;
+  }
+  std::printf("  %-28s forward %6.3f (ref %6.3f)   backward-input %6.3f (ref %6.3f)   "
+              "backward-weight %6.3f (ref %6.3f)\n",
+              "sum over the 8 shapes", total.forward_ms, total.forward_ref_ms,
+              total.backward_input_ms, total.backward_input_ref_ms, total.backward_weight_ms,
+              total.backward_weight_ref_ms);
+
   // Scratch-arena steady state: after a warm-up conv2d round trip, further
   // identical calls must perform zero allocations.
   std::size_t steady_allocs = 0;
@@ -423,10 +567,7 @@ int main() {
                     .field("flops", r.s.flops())
                     .field("ref_gflops", r.ref_gflops)
                     .field("blocked_gflops", r.blocked_gflops)
-                    .field("speedup", r.speedup)
-                    .field("bt_ref_gflops", r.bt_ref_gflops)
-                    .field("bt_gflops", r.bt_gflops)
-                    .field("bt_speedup", r.bt_speedup));
+                    .field("speedup", r.speedup));
     }
     pelta::bench::json int8 = pelta::bench::json::array();
     for (const qresult& r : qresults) {
@@ -451,6 +592,24 @@ int main() {
                            .field("gelu_max_ulp_vs_libm", r.gelu_max_ulp)
                            .field("softmax_exp_max_ulp_vs_libm", r.softmax_exp_max_ulp));
     }
+    pelta::bench::json conv = pelta::bench::json::array();
+    for (const conv_result& r : cresults) {
+      conv.push(pelta::bench::json::object()
+                    .field("name", r.s->name)
+                    .field("batch", k_conv_batch)
+                    .field("c", r.s->c)
+                    .field("hw", r.s->hw)
+                    .field("oc", r.s->oc)
+                    .field("kernel", r.s->k)
+                    .field("stride", r.s->stride)
+                    .field("pad", r.s->pad)
+                    .field("forward_ms", r.forward_ms)
+                    .field("forward_ref_ms", r.forward_ref_ms)
+                    .field("backward_input_ms", r.backward_input_ms)
+                    .field("backward_input_ref_ms", r.backward_input_ref_ms)
+                    .field("backward_weight_ms", r.backward_weight_ms)
+                    .field("backward_weight_ref_ms", r.backward_weight_ref_ms));
+    }
     pelta::bench::json::object()
         .field("bench", "kernels")
         .field("threads", 1)
@@ -458,6 +617,8 @@ int main() {
         .field("gemm", gemm)
         .field("int8", int8)
         .field("activations", activations)
+        .field("conv", conv)
+        .field("conv_bits_match_reference", conv_bits_ok)
         .field("conv_arena_steady_state_allocations", steady_allocs)
         .field("two_largest_min_speedup", min_large_speedup)
         .field("speedup_threshold", threshold)
@@ -468,7 +629,7 @@ int main() {
         .write_file("BENCH_kernels.json");
   }
 
-  bool ok = bits_ok && qbits_ok && steady_allocs == 0;
+  bool ok = bits_ok && qbits_ok && conv_bits_ok && steady_allocs == 0;
   if (threshold > 0 && min_large_speedup < threshold) {
     std::printf("FAIL: blocked kernel below %.1fx on the largest shapes\n", threshold);
     ok = false;

@@ -120,10 +120,15 @@ public:
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const> in,
                                const tensor&) const override {
     tensor gx{g.shape()};
-    auto px = in[0]->data();
-    auto pg = g.data();
-    auto po = gx.data();
-    for (std::size_t i = 0; i < po.size(); ++i) po[i] = px[i] > 0.0f ? pg[i] : 0.0f;
+    const float* px = in[0]->data().data();
+    const float* pg = g.data().data();
+    float* po = gx.data().data();
+    // The gradient is loaded unconditionally, so the select is branch-free
+    // and vectorizes; a branch would mispredict on every random-sign x.
+    for (std::int64_t i = 0; i < gx.numel(); ++i) {
+      const float gi = pg[i];
+      po[i] = px[i] > 0.0f ? gi : 0.0f;
+    }
     return {std::move(gx)};
   }
 };

@@ -23,39 +23,73 @@ std::int64_t div_ceil(std::int64_t a, std::int64_t b) {
   return a > 0 ? (a + b - 1) / b : -(-a / b);
 }
 
+// Output positions [lo, hi) along one axis whose input index
+// o * stride - pad + tap lies inside [0, in): the in-bounds window of one
+// kernel tap. Everything outside it reads (or, in the adjoint, drops) padding.
+struct tap_window {
+  std::int64_t lo, hi;
+};
+tap_window in_bounds(std::int64_t in, std::int64_t tap, std::int64_t stride, std::int64_t pad,
+                     std::int64_t out) {
+  const std::int64_t lo = std::clamp<std::int64_t>(div_ceil(pad - tap, stride), 0, out);
+  const std::int64_t hi =
+      std::clamp<std::int64_t>(div_floor(in - 1 + pad - tap, stride) + 1, lo, out);
+  return {lo, hi};
+}
+
+// One conv call's geometry, with the in-bounds window of every kernel row
+// (ky) and column (kx) solved once per call: on the small images of the
+// model zoo, the divisions in in_bounds cost more than the copies they
+// bound if they run per image and tap. The windows live in the calling
+// thread's arena; pool chunks only read them.
+class conv_geometry {
+public:
+  conv_geometry(std::int64_t c, std::int64_t h, std::int64_t w, std::int64_t kh, std::int64_t kw,
+                std::int64_t stride, std::int64_t pad, std::int64_t oh, std::int64_t ow)
+      : c{c}, h{h}, w{w}, kh{kh}, kw{kw}, stride{stride}, pad{pad}, oh{oh}, ow{ow},
+        windows_{scratch_arena::local().take_typed<tap_window>(static_cast<std::size_t>(kh + kw))} {
+    for (std::int64_t ky = 0; ky < kh; ++ky)
+      windows_.data()[ky] = in_bounds(h, ky, stride, pad, oh);
+    for (std::int64_t kx = 0; kx < kw; ++kx)
+      windows_.data()[kh + kx] = in_bounds(w, kx, stride, pad, ow);
+  }
+  std::int64_t krows() const { return c * kh * kw; }
+  std::int64_t spatial() const { return oh * ow; }
+  tap_window y_window(std::int64_t ky) const { return windows_.data()[ky]; }
+  tap_window x_window(std::int64_t kx) const { return windows_.data()[kh + kx]; }
+
+  const std::int64_t c, h, w, kh, kw, stride, pad, oh, ow;
+
+private:
+  scratch_typed<tap_window> windows_;
+};
+
 // im2col: expand one image [C,H,W] into a column matrix
 // [C*KH*KW, OH*OW] so the convolution becomes a single matmul.
 //
 // Padded-edge handling is fringe-only: the in-bounds output window
-// [y_lo,y_hi)×[x_lo,x_hi) is solved per (ky,kx) offset up front, the
-// interior is copied branch-free (memcpy at stride 1), and zeros go only to
-// the pad-clipped fringe — instead of a per-element bounds branch over the
-// whole buffer. Output is bit-identical to the branchy form; the gradcheck
-// conv suites cover it.
-void im2col(const float* img, float* cols, std::int64_t c, std::int64_t h, std::int64_t w,
-            std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t pad,
-            std::int64_t oh, std::int64_t ow) {
-  const std::int64_t spatial = oh * ow;
+// [y_lo,y_hi)×[x_lo,x_hi) of each (ky,kx) offset comes from the geometry,
+// the interior is copied branch-free (memcpy at stride 1), and zeros go
+// only to the pad-clipped fringe — instead of a per-element bounds branch
+// over the whole buffer. Output is bit-identical to the branchy form; the
+// gradcheck conv suites cover it.
+void im2col(const float* img, float* cols, const conv_geometry& g) {
+  const std::int64_t ow = g.ow, stride = g.stride, spatial = g.spatial();
   std::int64_t row = 0;
-  for (std::int64_t ci = 0; ci < c; ++ci)
-    for (std::int64_t ky = 0; ky < kh; ++ky)
-      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
+  for (std::int64_t ci = 0; ci < g.c; ++ci)
+    for (std::int64_t ky = 0; ky < g.kh; ++ky)
+      for (std::int64_t kx = 0; kx < g.kw; ++kx, ++row) {
         float* dst = cols + row * spatial;
-        // iy = y*stride - pad + ky lies in [0, h) exactly for y in [y_lo, y_hi).
-        const std::int64_t y_lo = std::clamp<std::int64_t>(div_ceil(pad - ky, stride), 0, oh);
-        const std::int64_t y_hi =
-            std::clamp<std::int64_t>(div_floor(h - 1 + pad - ky, stride) + 1, y_lo, oh);
-        const std::int64_t x_lo = std::clamp<std::int64_t>(div_ceil(pad - kx, stride), 0, ow);
-        const std::int64_t x_hi =
-            std::clamp<std::int64_t>(div_floor(w - 1 + pad - kx, stride) + 1, x_lo, ow);
+        const auto [y_lo, y_hi] = g.y_window(ky);
+        const auto [x_lo, x_hi] = g.x_window(kx);
         std::fill(dst, dst + y_lo * ow, 0.0f);
         for (std::int64_t y = y_lo; y < y_hi; ++y) {
-          const std::int64_t iy = y * stride - pad + ky;
-          const float* src = img + (ci * h + iy) * w;
+          const std::int64_t iy = y * stride - g.pad + ky;
+          const float* src = img + (ci * g.h + iy) * g.w;
           float* drow = dst + y * ow;
           std::fill(drow, drow + x_lo, 0.0f);
           if (x_lo < x_hi) {  // guarded: an empty window must not form the pointer
-            const float* s = src + (x_lo * stride - pad + kx);
+            const float* s = src + (x_lo * stride - g.pad + kx);
             if (stride == 1) {
               std::copy(s, s + (x_hi - x_lo), drow + x_lo);
             } else {
@@ -64,29 +98,54 @@ void im2col(const float* img, float* cols, std::int64_t c, std::int64_t h, std::
           }
           std::fill(drow + x_hi, drow + ow, 0.0f);
         }
-        std::fill(dst + y_hi * ow, dst + oh * ow, 0.0f);
+        std::fill(dst + y_hi * ow, dst + spatial, 0.0f);
       }
 }
 
-// col2im: scatter-add a column matrix back into an image (adjoint of im2col).
-void col2im(const float* cols, float* img, std::int64_t c, std::int64_t h, std::int64_t w,
-            std::int64_t kh, std::int64_t kw, std::int64_t stride, std::int64_t pad,
-            std::int64_t oh, std::int64_t ow) {
-  const std::int64_t spatial = oh * ow;
+// im2row: the transpose of im2col, [OH*OW, C*KH*KW] — one row of patch
+// values per output pixel — so conv2d_backward_weight runs the plain GEMM
+// over it. It holds exactly the values of cols. The buffer is filled one
+// output row of pixels at a time (ow rows of C*KH*KW values): every
+// column-strided write of a (ci, ky, kx) tap lands in that small block,
+// which stays in L1. Fringe bounds as in im2col, no per-element branch.
+void im2row(const float* img, float* rows, const conv_geometry& g) {
+  const std::int64_t ow = g.ow, stride = g.stride, krows = g.krows();
+  for (std::int64_t y = 0; y < g.oh; ++y) {
+    float* dst = rows + y * ow * krows;  // advances one tap at a time
+    for (std::int64_t ci = 0; ci < g.c; ++ci)
+      for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+        const tap_window wy = g.y_window(ky);
+        const bool row_in = y >= wy.lo && y < wy.hi;
+        const float* src = row_in ? img + (ci * g.h + y * stride - g.pad + ky) * g.w : nullptr;
+        for (std::int64_t kx = 0; kx < g.kw; ++kx, ++dst) {
+          const auto [x_lo, x_hi] = row_in ? g.x_window(kx) : tap_window{ow, ow};
+          for (std::int64_t x = 0; x < x_lo; ++x) dst[x * krows] = 0.0f;
+          for (std::int64_t x = x_lo; x < x_hi; ++x)
+            dst[x * krows] = src[x * stride - g.pad + kx];
+          for (std::int64_t x = x_hi; x < ow; ++x) dst[x * krows] = 0.0f;
+        }
+      }
+  }
+}
+
+// col2im: scatter-add a column matrix back into an image (adjoint of
+// im2col). Fringe-only like im2col: each (ci, ky, kx) row adds just its
+// in-bounds window, in the same (ci, ky, kx, y, x) order as a full sweep
+// that skips padding, so the sums are unchanged.
+void col2im(const float* cols, float* img, const conv_geometry& g) {
+  const std::int64_t ow = g.ow, stride = g.stride, spatial = g.spatial();
   std::int64_t row = 0;
-  for (std::int64_t ci = 0; ci < c; ++ci)
-    for (std::int64_t ky = 0; ky < kh; ++ky)
-      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
-        const float* src = cols + row * spatial;
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * stride - pad + ky;
-          if (iy < 0 || iy >= h) continue;
-          float* dst = img + (ci * h + iy) * w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * stride - pad + kx;
+  for (std::int64_t ci = 0; ci < g.c; ++ci)
+    for (std::int64_t ky = 0; ky < g.kh; ++ky)
+      for (std::int64_t kx = 0; kx < g.kw; ++kx, ++row) {
+        const auto [y_lo, y_hi] = g.y_window(ky);
+        const auto [x_lo, x_hi] = g.x_window(kx);
+        for (std::int64_t y = y_lo; y < y_hi; ++y) {
+          const float* src = cols + row * spatial + y * ow;
+          float* dst = img + (ci * g.h + y * stride - g.pad + ky) * g.w;
+          for (std::int64_t x = x_lo; x < x_hi; ++x)
             // pelta-lint: allow(R1) adjoint scatter-add, plain + in a fixed serial order
-            if (ix >= 0 && ix < w) dst[ix] += src[y * ow + x];
-          }
+            dst[x * stride - g.pad + kx] += src[x];
         }
       }
 }
@@ -94,7 +153,6 @@ void col2im(const float* cols, float* img, std::int64_t c, std::int64_t h, std::
 using detail::finite_cache;
 using detail::fmadd;
 using detail::gemm_accumulate;
-using detail::gemm_accumulate_bt;
 
 // Below this per-batch flop count the pool submit overhead beats the split.
 constexpr std::int64_t k_conv_parallel_flops = 1 << 15;
@@ -119,20 +177,22 @@ tensor conv2d(const tensor& input, const tensor& weight, const tensor& bias, std
   // Images write disjoint output slices, so splitting the batch across the
   // pool is bit-identical to the serial loop; each chunk owns a cols buffer.
   const std::int64_t krows = c * kh * kw, spatial = oh * ow;
+  const conv_geometry geom{c, h, w, kh, kw, stride, pad, oh, ow};
   tensor out{shape_t{b, oc, oh, ow}};
   const float* in = input.data().data();
   const float* wt = weight.data().data();
   float* op = out.data().data();
+  const float* bp = has_bias ? bias.data().data() : nullptr;
   const auto batch_range = [&](std::int64_t lo, std::int64_t hi) {
     // Chunk-local workspace from the executing thread's arena; im2col
     // rewrites it fully per image, so no zeroing is needed.
     scratch_buffer cols = scratch_arena::local().take(static_cast<std::size_t>(krows * spatial));
     for (std::int64_t n = lo; n < hi; ++n) {
-      im2col(in + n * c * h * w, cols.data(), c, h, w, kh, kw, stride, pad, oh, ow);
+      im2col(in + n * c * h * w, cols.data(), geom);
       float* obase = op + n * oc * spatial;
       if (has_bias)
         for (std::int64_t o = 0; o < oc; ++o)
-          for (std::int64_t s = 0; s < spatial; ++s) obase[o * spatial + s] = bias[o];
+          std::fill(obase + o * spatial, obase + (o + 1) * spatial, bp[o]);
       // Per image; the kernel scans cols only if the (normally dense)
       // weight matrix contains zeros.
       finite_cache cols_finite;
@@ -157,6 +217,7 @@ tensor conv2d_backward_input(const tensor& grad_out, const tensor& weight, std::
   // cols_grad [C*KH*KW, OH*OW] = Wᵀ [C*KH*KW, OC] x grad_out [OC, OH*OW];
   // then col2im scatters back into the image.
   const std::int64_t krows = c * kh * kw, spatial = oh * ow;
+  const conv_geometry geom{c, h, w, kh, kw, stride, pad, oh, ow};
   // Transposed weight view, materialized once on the submitting thread's
   // arena. Pool chunks only READ it (the pool's submit/join orders the
   // writes before them); each chunk takes its own cols workspace from its
@@ -184,7 +245,7 @@ tensor conv2d_backward_input(const tensor& grad_out, const tensor& weight, std::
       // (normally dense) transposed weight matrix contains zeros.
       finite_cache grad_finite;
       gemm_accumulate(wt_t, gslice, cols.data(), krows, oc, spatial, grad_finite);
-      col2im(cols.data(), gi + n * c * h * w, c, h, w, kh, kw, stride, pad, oh, ow);
+      col2im(cols.data(), gi + n * c * h * w, geom);
     }
   };
   if (b >= 2 && b * krows * oc * spatial >= k_conv_parallel_flops)
@@ -202,12 +263,13 @@ tensor conv2d_backward_weight(const tensor& grad_out, const tensor& input, std::
   const std::int64_t oh = grad_out.size(2), ow = grad_out.size(3);
   PELTA_CHECK(weight_shape[1] == c && grad_out.size(1) == oc);
 
-  // grad_W [OC, C*KH*KW] += grad_out [OC, OH*OW] x colsᵀ [OH*OW, C*KH*KW].
-  // cols itself is exactly the transposed-B layout ([krows, spatial] row-
-  // major = [spatial, krows]ᵀ), so the bt kernel consumes it directly — the
-  // old per-image cols→colsᵀ scatter-transpose is gone.
+  // grad_W [OC, C*KH*KW] += grad_out [OC, OH*OW] x im2row [OH*OW, C*KH*KW],
+  // the plain GEMM. im2row holds exactly the values of cols, so every
+  // element sums the same terms in the same ascending pixel order as
+  // grad_out x colsᵀ, and the zero-skip gate scans the same operands.
   const std::int64_t krows = c * kh * kw, spatial = oh * ow;
-  scratch_buffer cols = scratch_arena::local().take(static_cast<std::size_t>(krows * spatial));
+  const conv_geometry geom{c, h, w, kh, kw, stride, pad, oh, ow};
+  scratch_buffer rows = scratch_arena::local().take(static_cast<std::size_t>(spatial * krows));
   tensor grad_w{weight_shape};
   const float* go = grad_out.data().data();
   const float* in = input.data().data();
@@ -216,10 +278,10 @@ tensor conv2d_backward_weight(const tensor& grad_out, const tensor& input, std::
   // batch split would change the float summation order with the thread
   // count — breaking the bit-identical-across-PELTA_THREADS guarantee.
   for (std::int64_t n = 0; n < b; ++n) {
-    im2col(in + n * c * h * w, cols.data(), c, h, w, kh, kw, stride, pad, oh, ow);
-    // Per image (each has its own cols); scanned only if grad_out has zeros.
-    finite_cache cols_finite;
-    gemm_accumulate_bt(go + n * oc * spatial, cols.data(), gw, oc, spatial, krows, cols_finite);
+    im2row(in + n * c * h * w, rows.data(), geom);
+    // Per image (each has its own im2row); scanned only if grad_out has zeros.
+    finite_cache rows_finite;
+    gemm_accumulate(go + n * oc * spatial, rows.data(), gw, oc, spatial, krows, rows_finite);
   }
   return grad_w;
 }
@@ -305,8 +367,10 @@ maxpool_result maxpool2x2(const tensor& input) {
     for (std::int64_t ci = 0; ci < c; ++ci)
       for (std::int64_t y = 0; y < oh; ++y)
         for (std::int64_t x = 0; x < ow; ++x) {
-          float best = -1e30f;
-          std::int64_t best_idx = 0;
+          // Seeded with the window's first element: a window of only -inf
+          // or NaN keeps that value and an index inside the window.
+          std::int64_t best_idx = ((n * c + ci) * h + 2 * y) * w + 2 * x;
+          float best = in[best_idx];
           for (std::int64_t dy = 0; dy < 2; ++dy)
             for (std::int64_t dx = 0; dx < 2; ++dx) {
               const std::int64_t idx = ((n * c + ci) * h + (2 * y + dy)) * w + (2 * x + dx);

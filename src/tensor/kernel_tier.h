@@ -37,10 +37,6 @@ struct kernel_tier_fns {
   /// `panel` holds k_gemm_kc * k_gemm_nr floats when n % k_gemm_nr != 0.
   void (*gemm)(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
                std::int64_t n, bool skip, float* panel);
-  /// gemm_accumulate_bt after its gate; `panel` holds k_gemm_kc * k_gemm_wide
-  /// floats.
-  void (*gemm_bt)(const float* a, const float* bt, float* out, std::int64_t m, std::int64_t k,
-                  std::int64_t n, bool skip, float* panel);
   /// qgemm's tile sweep; `out` already holds the -128 * colsum base and
   /// `groups` = qgemm_k_groups(k) > 0.
   void (*qgemm)(const std::uint8_t* a, std::int64_t lda, const std::int8_t* packed,

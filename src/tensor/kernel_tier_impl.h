@@ -14,7 +14,7 @@
 // Hence the scratch panels come from the caller, and the helpers below have
 // internal linkage.
 //
-// Structure of the fp32 GEMM (shared by the plain and transposed-B entries):
+// Structure of the fp32 GEMM:
 //   * k-blocking: the k range is walked in KC-sized blocks, ascending, so a
 //     B column panel stays hot in cache while every row tile reuses it.
 //     Partial sums round-trip through `out` between blocks — a float
@@ -35,10 +35,6 @@
 //     over it, storing only the real columns. Pad lanes cost nothing
 //     semantically (they are never stored) and the real columns see the
 //     identical operation sequence.
-//   * Transposed-B: B arrives as [n, k] row-major. Each (KC x 16) panel is
-//     repacked into an L1-resident buffer (blocked transpose, sequential
-//     reads), then the same register tiles run over it. The pack touches
-//     each B element once per sweep and is reused by every row tile.
 #if !defined(PELTA_KERNEL_TIER_NS) || !defined(PELTA_KERNEL_TIER_LEVEL)
 #error "define PELTA_KERNEL_TIER_NS and PELTA_KERNEL_TIER_LEVEL before including"
 #endif
@@ -209,54 +205,12 @@ void gemm_blocked(const float* a, const float* b, float* out, std::int64_t m, st
   }
 }
 
-template <bool Skip>
-void gemm_bt_blocked(const float* a, const float* bt, float* out, std::int64_t m, std::int64_t k,
-                     std::int64_t n, float* panel) {
-  for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
-    const std::int64_t kc = min_i64(KC, k - k0);
-    const float* ablk = a + k0;
-    for (std::int64_t j = 0; j < n; j += WMAIN) {
-      const std::int64_t jw = min_i64(WMAIN, n - j);
-      // Blocked transpose of B rows [j, j+jw) x k-range [k0, k0+kc): reads
-      // are sequential along each B row; the ragged tail of the last
-      // 16-wide lane group is zero-padded.
-      const std::int64_t jw_pad = (jw + WMID - 1) / WMID * WMID;
-      for (std::int64_t jj = 0; jj < jw; ++jj) {
-        const float* src = bt + (j + jj) * k + k0;
-        for (std::int64_t kk = 0; kk < kc; ++kk) panel[kk * WMAIN + jj] = src[kk];
-      }
-      if (jw < jw_pad)
-        for (std::int64_t kk = 0; kk < kc; ++kk)
-          for (std::int64_t jj = jw; jj < jw_pad; ++jj) panel[kk * WMAIN + jj] = 0.0f;
-      // Full-width tiles over the packed panel (ldb = WMAIN), then 16-wide
-      // lane groups, then the store-masked edge.
-      if (jw == WMAIN) {
-        panel_rows<WMAIN, Skip>(ablk, k, panel, WMAIN, out + j, n, kc, m);
-      } else {
-        std::int64_t js = 0;
-        for (; js + WMID <= jw; js += WMID)
-          panel_rows<WMID, Skip>(ablk, k, panel + js, WMAIN, out + j + js, n, kc, m);
-        if (js < jw)
-          panel_rows_edge<Skip>(ablk, k, panel + js, WMAIN, out + j + js, n, kc, m, jw - js);
-      }
-    }
-  }
-}
-
 void gemm(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
           std::int64_t n, bool skip, float* panel) {
   if (skip)
     gemm_blocked<true>(a, b, out, m, k, n, panel);
   else
     gemm_blocked<false>(a, b, out, m, k, n, panel);
-}
-
-void gemm_bt(const float* a, const float* bt, float* out, std::int64_t m, std::int64_t k,
-             std::int64_t n, bool skip, float* panel) {
-  if (skip)
-    gemm_bt_blocked<true>(a, bt, out, m, k, n, panel);
-  else
-    gemm_bt_blocked<false>(a, bt, out, m, k, n, panel);
 }
 
 // ---- int8 quantized GEMM ----------------------------------------------------
@@ -583,7 +537,6 @@ void gelu_backward(const float* x, const float* g, float* out, std::int64_t coun
 }  // namespace
 
 // Declared extern in kernel_tier.h, so this definition has external linkage.
-const kernel_tier_fns fns{&gemm,     &gemm_bt,  &qgemm, &quantize, &exp_shifted,
-                          &tanh_map, &gelu, &gelu_backward};
+const kernel_tier_fns fns{&gemm, &qgemm, &quantize, &exp_shifted, &tanh_map, &gelu, &gelu_backward};
 
 }  // namespace pelta::ops::detail::PELTA_KERNEL_TIER_NS

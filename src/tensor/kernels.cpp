@@ -17,9 +17,7 @@ namespace pelta::ops::detail {
 namespace {
 
 bool any_zero_in(const float* p, std::int64_t count) {
-  for (std::int64_t i = 0; i < count; ++i)
-    if (p[i] == 0.0f) return true;
-  return false;
+  return any_in_blocks(p, count, [](float x) { return x == 0.0f; });
 }
 
 // Supported tiers, ascending.
@@ -115,17 +113,6 @@ void gemm_accumulate(const float* a, const float* b, float* out, std::int64_t m,
   if (n % k_gemm_nr != 0)
     panel = scratch_arena::local().take(static_cast<std::size_t>(k_gemm_kc * k_gemm_nr));
   active_kernel_fns().gemm(a, b, out, m, k, n, skip, panel.data());
-}
-
-void gemm_accumulate_bt(const float* a, const float* bt, float* out, std::int64_t m,
-                        std::int64_t k, std::int64_t n, finite_cache& bt_finite) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  const bool skip = any_zero_in(a, m * k) && bt_finite.check(bt, n * k);
-  // Cache-resident pack buffer for one (kc x 64) B panel, reused across the
-  // whole call — and across calls, via the thread's arena.
-  scratch_buffer panel =
-      scratch_arena::local().take(static_cast<std::size_t>(k_gemm_kc * k_gemm_wide));
-  active_kernel_fns().gemm_bt(a, bt, out, m, k, n, skip, panel.data());
 }
 
 void qgemm_pack_b(const std::int8_t* b, std::int64_t k, std::int64_t n, std::int8_t* packed) {

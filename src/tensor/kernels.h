@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -65,10 +66,32 @@ inline constexpr std::int64_t k_gemm_nr = 16;  // columns per register tile
 #endif
 }
 
+/// Whether `hit` holds for any element of p[0, count). The zero-skip gate's
+/// two scans (zeros in A, Inf/NaN in B) run through it: each block of
+/// k_gate_scan_block elements is a branch-free reduction that vectorizes,
+/// with one early exit per block, so a hit near the front still returns
+/// early. The answer is the same as an element-by-element scan's.
+inline constexpr std::int64_t k_gate_scan_block = 256;
+template <class Hit>
+[[gnu::always_inline]] inline bool any_in_blocks(const float* p, std::int64_t count, Hit hit) {
+  std::int64_t i = 0;
+  for (; i + k_gate_scan_block <= count; i += k_gate_scan_block) {
+    unsigned any = 0;
+    for (std::int64_t j = 0; j < k_gate_scan_block; ++j) any |= hit(p[i + j]);
+    if (any != 0) return true;
+  }
+  unsigned any = 0;
+  for (; i < count; ++i) any |= hit(p[i]);
+  return any != 0;
+}
+
+/// Whether no element of p[0, count) is Inf or NaN. The test is on the bits
+/// (exponent all ones), so it needs no float compare and vectorizes on
+/// every ISA.
 inline bool all_finite(const float* p, std::int64_t count) {
-  for (std::int64_t i = 0; i < count; ++i)
-    if (!std::isfinite(p[i])) return false;
-  return true;
+  return !any_in_blocks(p, count, [](float x) {
+    return (std::bit_cast<std::uint32_t>(x) & 0x7f800000u) == 0x7f800000u;
+  });
 }
 
 /// Lazily computed finiteness of one B operand: -1 unknown, 0 has
@@ -104,16 +127,6 @@ private:
 // operand.
 void gemm_accumulate(const float* a, const float* b, float* out, std::int64_t m, std::int64_t k,
                      std::int64_t n, finite_cache& b_finite);
-
-// Transposed-B variant: out[m,n] += a[m,k] * bt[n,k]ᵀ, i.e. B is stored
-// row-major as [n,k] and B[kk][j] = bt[j*k + kk]. Bit-identical to
-// materializing the [k,n] transpose and calling gemm_accumulate — same
-// ascending k-order per element, same zero-skip gate (decided from bt's
-// finiteness) — but instead of a full [k,n] transpose per call it repacks
-// one L1-resident (KC x 16) panel at a time from the thread's scratch
-// arena, so conv2d_backward_weight no longer materializes cols_t.
-void gemm_accumulate_bt(const float* a, const float* bt, float* out, std::int64_t m,
-                        std::int64_t k, std::int64_t n, finite_cache& bt_finite);
 
 // ---- int8 quantized GEMM ----------------------------------------------------
 //

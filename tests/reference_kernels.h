@@ -43,6 +43,44 @@ inline void reference_gemm_bt(const float* a, const float* bt, float* out, std::
   reference_gemm(a, b_storage.data(), out, m, k, n);
 }
 
+// Conv data movement as it stood before the fringe-only loops: one bounds
+// branch per element. reference_im2col expands one image [C,H,W] into
+// cols [C*KH*KW, OH*OW]; reference_col2im scatter-adds cols back in the
+// same (ci, ky, kx, y, x) order. With reference_gemm / reference_gemm_bt
+// they give the pre-PR conv forward and backward formulations that the
+// conv-adjoint tests and bench_kernels compare against.
+inline void reference_im2col(const float* img, float* cols, std::int64_t c, std::int64_t h,
+                             std::int64_t w, std::int64_t kh, std::int64_t kw,
+                             std::int64_t stride, std::int64_t pad, std::int64_t oh,
+                             std::int64_t ow) {
+  std::int64_t row = 0;
+  for (std::int64_t ci = 0; ci < c; ++ci)
+    for (std::int64_t ky = 0; ky < kh; ++ky)
+      for (std::int64_t kx = 0; kx < kw; ++kx, ++row)
+        for (std::int64_t y = 0; y < oh; ++y)
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t iy = y * stride - pad + ky, ix = x * stride - pad + kx;
+            cols[(row * oh + y) * ow + x] =
+                (iy < 0 || iy >= h || ix < 0 || ix >= w) ? 0.0f : img[(ci * h + iy) * w + ix];
+          }
+}
+
+inline void reference_col2im(const float* cols, float* img, std::int64_t c, std::int64_t h,
+                             std::int64_t w, std::int64_t kh, std::int64_t kw,
+                             std::int64_t stride, std::int64_t pad, std::int64_t oh,
+                             std::int64_t ow) {
+  std::int64_t row = 0;
+  for (std::int64_t ci = 0; ci < c; ++ci)
+    for (std::int64_t ky = 0; ky < kh; ++ky)
+      for (std::int64_t kx = 0; kx < kw; ++kx, ++row)
+        for (std::int64_t y = 0; y < oh; ++y)
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t iy = y * stride - pad + ky, ix = x * stride - pad + kx;
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+              img[(ci * h + iy) * w + ix] += cols[(row * oh + y) * ow + x];
+          }
+}
+
 // THE frozen int8 reference: the textbook i-k-j loop over UNPACKED operands
 // computing out[i][j] = sum_k (a_u8 - 128) * b_s8 in int32. It knows nothing
 // of the packed panel layout, the colsum compensation trick or the AVX2

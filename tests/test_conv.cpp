@@ -1,6 +1,10 @@
 // Convolution / pooling kernels, including backward-vs-finite-difference.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <utility>
+
 #include "autodiff/gradcheck.h"
 #include "tensor/conv.h"
 #include "tensor/kernels.h"  // detail::fmadd — the accumulation-policy reference
@@ -182,6 +186,45 @@ TEST(MaxPool, BackwardRoutesToArgmax) {
   tensor gi = ops::maxpool2x2_backward(go, r.indices, x.shape());
   EXPECT_FLOAT_EQ(gi[0], 0.0f);
   EXPECT_FLOAT_EQ(gi[1], 2.0f);
+}
+
+// A window of only -inf or NaN still pools to a value of that window, and
+// its index stays inside it, so the backward pass routes the gradient there
+// and not to element 0 of the tensor.
+TEST(MaxPool, NonFiniteWindowKeepsItsValueAndIndex) {
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+  // [1, 2, 2, 4]: channel 0 is ordinary, channel 1 holds an all -inf window
+  // and an all NaN window.
+  tensor x{{1, 2, 2, 4}, {1, 2, 3, 4,  //
+                          5, 6, 7, 8,  //
+                          -inf, -inf, nan, nan,  //
+                          -inf, -inf, nan, nan}};
+  const auto window_of = [](std::int64_t flat) {  // (channel, window x) of a flat index
+    return std::pair<std::int64_t, std::int64_t>{flat / 8, (flat % 4) / 2};
+  };
+  auto r = ops::maxpool2x2(x);
+  ASSERT_EQ(r.output.shape(), (shape_t{1, 2, 1, 2}));
+  EXPECT_EQ(r.output[0], 6.0f);
+  EXPECT_EQ(r.output[1], 8.0f);
+  EXPECT_EQ(r.output[2], -inf);
+  EXPECT_TRUE(std::isnan(r.output[3]));
+  for (std::int64_t i = 0; i < 4; ++i) {
+    const auto idx = static_cast<std::int64_t>(r.indices[i]);
+    EXPECT_EQ(window_of(idx), (std::pair<std::int64_t, std::int64_t>{i / 2, i % 2}))
+        << "output " << i << " points at element " << idx;
+  }
+
+  tensor go{{1, 2, 1, 2}, {1.0f, 2.0f, 3.0f, 4.0f}};
+  tensor gi = ops::maxpool2x2_backward(go, r.indices, x.shape());
+  for (std::int64_t i = 0; i < gi.numel(); ++i) {
+    if (gi[i] == 0.0f) continue;
+    const auto [ch, win] = window_of(i);
+    EXPECT_EQ(gi[i], go[ch * 2 + win]) << "gradient landed on element " << i;
+  }
+  double total = 0.0;
+  for (std::int64_t i = 0; i < gi.numel(); ++i) total += gi[i];
+  EXPECT_EQ(total, 10.0);
 }
 
 TEST(MaxPool, OddSpatialThrows) {

@@ -4,8 +4,9 @@
 //
 // Covered: a 6-client 2-round federation (global parameters, traffic
 // accounting), a buffered-async run over a heterogeneous fleet (straggler +
-// dropout; schedule, staleness stamps and aggregates), and a PGD
-// evaluate_attack (robust-accuracy counters). The
+// dropout; schedule, staleness stamps and aggregates), a PGD
+// evaluate_attack (robust-accuracy counters), and one ResNet-56-sim
+// training step on every kernel tier the host supports. The
 // static initializer pins PELTA_THREADS=8 (without overriding an explicit
 // environment setting, e.g. the CI PELTA_THREADS=2 leg) so the pooled runs
 // really cross threads even on single-core hosts.
@@ -15,8 +16,12 @@
 
 #include "attacks/runner.h"
 #include "fl/federation.h"
+#include "fl/state.h"
 #include "models/trainer.h"
 #include "models/vit.h"
+#include "models/zoo.h"
+#include "nn/optimizer.h"
+#include "tensor/kernel_tier.h"
 #include "tensor/parallel.h"
 
 namespace pelta::fl {
@@ -184,6 +189,54 @@ TEST(Determinism, PgdEvaluateAttackBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial_eval.attack_successes, pooled_eval.attack_successes);
   EXPECT_EQ(serial_eval.robust_accuracy, pooled_eval.robust_accuracy);
   EXPECT_EQ(serial_eval.mean_queries, pooled_eval.mean_queries);
+}
+
+// One local training step of the FL client's model — forward,
+// cross-entropy, backward, Adam — runs every conv path (im2col forward,
+// col2im backward-input, im2row backward-weight, each behind its zero-skip
+// gate), ReLU and batch norm. Its parameters and batch-norm statistics must
+// come out byte-identical on every supported kernel tier, pooled or serial.
+std::unique_ptr<models::resnet_model> fresh_resnet(const data::dataset& ds) {
+  models::task_spec task;
+  task.classes = ds.config().classes;
+  task.image_size = ds.config().image_size;
+  task.seed = 37;
+  return models::make_resnet56_sim(task);
+}
+
+byte_buffer resnet_training_step(const data::dataset& ds, bool force_serial) {
+  auto m = fresh_resnet(ds);
+  data::batch_iterator batches{ds.train_size(), 16, rng{41}};
+  const data::batch b = ds.gather_train(batches.next());
+  nn::adam opt{2e-3f, 0.9f, 0.999f, 1e-8f, 1e-4f};
+  std::unique_ptr<serial_guard> guard;
+  if (force_serial) guard = std::make_unique<serial_guard>();
+  m->params().zero_grads();
+  models::loss_and_grad(*m, b);
+  opt.step(m->params());
+  return snapshot_state(*m);
+}
+
+TEST(Determinism, ResNetTrainingStepBitIdenticalAcrossTiersAndThreads) {
+  ASSERT_TRUE(k_threads_pinned);
+  const data::dataset ds = small_dataset();
+  using ops::detail::kernel_tier;
+  byte_buffer reference;
+  {
+    const ops::detail::scoped_kernel_tier baseline{kernel_tier::baseline};
+    reference = resnet_training_step(ds, /*force_serial=*/true);
+  }
+  ASSERT_FALSE(snapshot_state(*fresh_resnet(ds)) == reference)
+      << "the step left the parameters unchanged";
+  for (const kernel_tier t : ops::detail::supported_kernel_tiers()) {
+    const ops::detail::scoped_kernel_tier route{t};
+    for (const bool force_serial : {false, true}) {
+      const byte_buffer got = resnet_training_step(ds, force_serial);
+      ASSERT_EQ(got.size(), reference.size());
+      EXPECT_TRUE(got == reference) << "tier " << ops::detail::kernel_tier_name(t)
+                                    << (force_serial ? ", serial" : ", pooled");
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Kernel suite for the blocked GEMM micro-kernels, the activation
-// transcendentals and the scratch arena.
+// transcendentals, the conv data movement and the scratch arena.
 //
-// The BlockedGemm and Transcendentals cases run once per kernel tier the
-// host supports (kernel_tier_param.h), each against the same reference.
+// The BlockedGemm, Transcendentals and ConvAdjoint cases run once per kernel
+// tier the host supports (kernel_tier_param.h), each against the same
+// reference.
 //
 // The blocked kernels promise bit-identity with the classic i-k-j loop on
 // every path (full register tiles, row tails, column tails, any row split a
@@ -43,10 +44,11 @@ const bool k_threads_pinned = [] {
 
 using ops::detail::finite_cache;
 using ops::detail::gemm_accumulate;
-using ops::detail::gemm_accumulate_bt;
 using ops::detail::k_gemm_mr;
 using ops::detail::k_gemm_nr;
 using ops::reference::reference_gemm;  // THE frozen pre-PR baseline
+using ops::reference::reference_gemm_bt;
+using ops::reference::reference_im2col;
 
 // Operand with zeros sprinkled in (the skip path must see real zeros).
 std::vector<float> random_operand(rng& gen, std::int64_t count, float zero_fraction) {
@@ -130,25 +132,6 @@ TEST_P(BlockedGemm, RowSliceInvariance) {
   }
 }
 
-TEST_P(BlockedGemm, TransposedBVariantBitEqualsMaterializedTranspose) {
-  rng gen{47};
-  for (std::int64_t m : {1, 3, 4, 5, 10})
-    for (std::int64_t k : {1, 2, 9, 24})
-      for (std::int64_t n : {1, 2, 3, 4, 5, 13, 16}) {
-        const std::vector<float> a = random_operand(gen, m * k, 0.3f);
-        const std::vector<float> bt = random_operand(gen, n * k, 0.1f);  // [n, k]
-        std::vector<float> b(static_cast<std::size_t>(k * n));           // [k, n]
-        for (std::int64_t j = 0; j < n; ++j)
-          for (std::int64_t kk = 0; kk < k; ++kk)
-            b[static_cast<std::size_t>(kk * n + j)] = bt[static_cast<std::size_t>(j * k + kk)];
-        std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f), got = want;
-        reference_gemm(a.data(), b.data(), want.data(), m, k, n);
-        finite_cache cache;
-        gemm_accumulate_bt(a.data(), bt.data(), got.data(), m, k, n, cache);
-        ASSERT_TRUE(bits_equal(want, got)) << "m=" << m << " k=" << k << " n=" << n;
-      }
-}
-
 // Regression for the poisoned-update gate: a NaN/Inf B operand must surface
 // through a zero A row — the zero-skip fast path is only legal when B is
 // fully finite, and the gate is now decided once per call, not per element.
@@ -173,15 +156,6 @@ TEST_P(BlockedGemm, PoisonedBPropagatesThroughZeroARow) {
     EXPECT_TRUE(std::isnan(out[static_cast<std::size_t>(i * n + 2)])) << "row " << i;
     EXPECT_TRUE(std::isnan(out[static_cast<std::size_t>(i * n + 5)])) << "row " << i;
   }
-
-  // Transposed-B variant: same contract.
-  std::vector<float> bt(static_cast<std::size_t>(n * k), 0.5f);
-  bt[static_cast<std::size_t>(2 * k + 1)] = std::numeric_limits<float>::quiet_NaN();
-  std::vector<float> out_bt(static_cast<std::size_t>(m * n), 0.0f);
-  finite_cache cache_bt;
-  gemm_accumulate_bt(a.data(), bt.data(), out_bt.data(), m, k, n, cache_bt);
-  for (std::int64_t i = 0; i < m; ++i)
-    EXPECT_TRUE(std::isnan(out_bt[static_cast<std::size_t>(i * n + 2)])) << "row " << i;
 
   // And the complement: with a fully finite B, zero A rows stay exactly at
   // the accumulation base.
@@ -432,20 +406,22 @@ tensor reference_conv2d(const tensor& input, const tensor& weight, const tensor&
   return out;
 }
 
-// Covers the fringe-only zero-fill in im2col: strides and paddings that
-// clip every edge (including pad >= kernel, whose first/last taps are
-// entirely out of bounds).
+// Conv geometries whose strides and paddings clip every edge (including
+// pad >= kernel, whose first/last taps are entirely out of bounds), with
+// non-square images and kernels.
+struct conv_case {
+  std::int64_t c, h, w, oc, kh, kw, stride, pad;
+};
+const conv_case k_fringe_cases[] = {
+    {1, 5, 5, 2, 3, 3, 1, 0}, {2, 6, 6, 3, 3, 3, 1, 1}, {2, 7, 5, 3, 3, 3, 2, 1},
+    {1, 8, 8, 2, 5, 5, 1, 2}, {2, 9, 7, 2, 3, 3, 3, 2}, {1, 6, 6, 2, 3, 3, 1, 3},
+    {2, 5, 5, 2, 1, 1, 1, 0}, {1, 7, 7, 2, 3, 1, 2, 1}, {1, 4, 4, 1, 4, 4, 4, 2},
+};
+
+// Covers the fringe-only zero-fill in im2col.
 TEST(Im2col, FringeFillMatchesDirectConvolution) {
   rng gen{61};
-  struct case_t {
-    std::int64_t c, h, w, oc, kh, kw, stride, pad;
-  };
-  const case_t cases[] = {
-      {1, 5, 5, 2, 3, 3, 1, 0}, {2, 6, 6, 3, 3, 3, 1, 1}, {2, 7, 5, 3, 3, 3, 2, 1},
-      {1, 8, 8, 2, 5, 5, 1, 2}, {2, 9, 7, 2, 3, 3, 3, 2}, {1, 6, 6, 2, 3, 3, 1, 3},
-      {2, 5, 5, 2, 1, 1, 1, 0}, {1, 7, 7, 2, 3, 1, 2, 1}, {1, 4, 4, 1, 4, 4, 4, 2},
-  };
-  for (const case_t& cs : cases) {
+  for (const conv_case& cs : k_fringe_cases) {
     tensor input = tensor::randn(gen, {2, cs.c, cs.h, cs.w});
     tensor weight = tensor::randn(gen, {cs.oc, cs.c, cs.kh, cs.kw});
     tensor bias = tensor::rand_uniform(gen, {cs.oc}, 0.1f, 0.9f);
@@ -457,6 +433,153 @@ TEST(Im2col, FringeFillMatchesDirectConvolution) {
     for (std::size_t i = 0; i < pg.size(); ++i)
       ASSERT_EQ(pg[i], pw[i]) << "stride=" << cs.stride << " pad=" << cs.pad << " i=" << i;
   }
+}
+
+// ---- conv adjoints -------------------------------------------------------------
+//
+// conv2d's two backward passes against references that share none of the
+// library's data movement: backward-input against a direct scatter of every
+// output gradient through the kernel taps, backward-weight against the
+// frozen im2col + reference_gemm_bt formulation. Both compare with memcmp.
+// The gradients are ReLU-sparse and a fifth of the weights are zero, so the
+// zero-skip gate opens (backward-weight: zeros in grad_out; backward-input:
+// zeros in the weights); the poisoned round puts a NaN into one input image
+// and one gradient image, which must close the gate for that image.
+
+class ConvAdjoint : public kernel_tier_test {};
+INSTANTIATE_TEST_SUITE_P(Tiers, ConvAdjoint, every_kernel_tier(), kernel_tier_param_name);
+
+struct conv_operands {
+  tensor input, weight, grad_out;
+};
+
+conv_operands adjoint_operands(rng& gen, const conv_case& cs, bool poisoned) {
+  const std::int64_t batch = 3;
+  const std::int64_t oh = (cs.h + 2 * cs.pad - cs.kh) / cs.stride + 1;
+  const std::int64_t ow = (cs.w + 2 * cs.pad - cs.kw) / cs.stride + 1;
+  conv_operands o{tensor::randn(gen, {batch, cs.c, cs.h, cs.w}),
+                  tensor::randn(gen, {cs.oc, cs.c, cs.kh, cs.kw}),
+                  ops::relu(tensor::randn(gen, {batch, cs.oc, oh, ow}))};
+  for (float& v : o.weight.data())
+    if (gen.bernoulli(0.2f)) v = 0.0f;
+  if (poisoned) {
+    o.input.at(1, cs.c - 1, cs.h / 2, cs.w / 2) = k_nan;
+    o.grad_out.at(2, cs.oc - 1, oh / 2, ow / 2) = k_nan;
+  }
+  return o;
+}
+
+// dL/dinput by direct scatter: each in-bounds (tap, output pixel) pair adds
+// its sum over output channels. The per-tap sum runs in ascending channel
+// order from +0 and skips zero weights exactly when the library's GEMM gate
+// would (a zero in the weights and a finite gradient image), so the bits
+// must match the GEMM + col2im path.
+tensor direct_conv2d_backward_input(const tensor& grad_out, const tensor& weight,
+                                    std::int64_t stride, std::int64_t pad,
+                                    const shape_t& input_shape) {
+  const std::int64_t b = input_shape[0], c = input_shape[1], h = input_shape[2],
+                     w = input_shape[3];
+  const std::int64_t oc = weight.size(0), kh = weight.size(2), kw = weight.size(3);
+  const std::int64_t oh = grad_out.size(2), ow = grad_out.size(3);
+  bool weight_has_zero = false;
+  for (const float v : weight.data()) weight_has_zero |= v == 0.0f;
+  tensor grad_in{input_shape};
+  for (std::int64_t n = 0; n < b; ++n) {
+    bool image_finite = true;
+    for (std::int64_t i = 0; i < oc * oh * ow; ++i)
+      image_finite &= std::isfinite(grad_out[n * oc * oh * ow + i]);
+    const bool skip = weight_has_zero && image_finite;
+    for (std::int64_t ci = 0; ci < c; ++ci)
+      for (std::int64_t ky = 0; ky < kh; ++ky)
+        for (std::int64_t kx = 0; kx < kw; ++kx)
+          for (std::int64_t y = 0; y < oh; ++y)
+            for (std::int64_t x = 0; x < ow; ++x) {
+              const std::int64_t iy = y * stride - pad + ky, ix = x * stride - pad + kx;
+              if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+              float acc = 0.0f;
+              for (std::int64_t o = 0; o < oc; ++o) {
+                const float wv = weight.at(o, ci, ky, kx);
+                if (skip && wv == 0.0f) continue;
+                acc = ops::detail::fmadd(wv, grad_out.at(n, o, y, x), acc);
+              }
+              grad_in.at(n, ci, iy, ix) += acc;
+            }
+  }
+  return grad_in;
+}
+
+// dL/dweight the pre-PR way: im2col per image, then the frozen transposed-B
+// reference GEMM into one grad_w, images in batch order.
+tensor im2col_conv2d_backward_weight(const tensor& grad_out, const tensor& input,
+                                     std::int64_t stride, std::int64_t pad,
+                                     const shape_t& weight_shape) {
+  const std::int64_t b = input.size(0), c = input.size(1), h = input.size(2), w = input.size(3);
+  const std::int64_t oc = weight_shape[0], kh = weight_shape[2], kw = weight_shape[3];
+  const std::int64_t oh = grad_out.size(2), ow = grad_out.size(3);
+  const std::int64_t krows = c * kh * kw, spatial = oh * ow;
+  std::vector<float> cols(static_cast<std::size_t>(krows * spatial)), bt_storage;
+  tensor grad_w{weight_shape};
+  for (std::int64_t n = 0; n < b; ++n) {
+    reference_im2col(input.data().data() + n * c * h * w, cols.data(), c, h, w, kh, kw, stride,
+                     pad, oh, ow);
+    reference_gemm_bt(grad_out.data().data() + n * oc * spatial, cols.data(),
+                      grad_w.data().data(), oc, spatial, krows, bt_storage);
+  }
+  return grad_w;
+}
+
+TEST_P(ConvAdjoint, BackwardInputBitEqualsDirectScatter) {
+  rng gen{79};
+  for (const bool poisoned : {false, true})
+    for (const conv_case& cs : k_fringe_cases) {
+      const conv_operands o = adjoint_operands(gen, cs, poisoned);
+      const tensor got =
+          ops::conv2d_backward_input(o.grad_out, o.weight, cs.stride, cs.pad, o.input.shape());
+      const tensor want =
+          direct_conv2d_backward_input(o.grad_out, o.weight, cs.stride, cs.pad, o.input.shape());
+      expect_same_bits(got, want, "conv2d_backward_input");
+      ASSERT_FALSE(HasFailure()) << "stride=" << cs.stride << " pad=" << cs.pad << " c=" << cs.c
+                                 << " h=" << cs.h << " w=" << cs.w << " poisoned=" << poisoned;
+    }
+}
+
+TEST_P(ConvAdjoint, BackwardWeightBitEqualsIm2colAndFrozenGemm) {
+  rng gen{83};
+  for (const bool poisoned : {false, true})
+    for (const conv_case& cs : k_fringe_cases) {
+      const conv_operands o = adjoint_operands(gen, cs, poisoned);
+      const tensor got =
+          ops::conv2d_backward_weight(o.grad_out, o.input, cs.stride, cs.pad, o.weight.shape());
+      const tensor want =
+          im2col_conv2d_backward_weight(o.grad_out, o.input, cs.stride, cs.pad, o.weight.shape());
+      expect_same_bits(got, want, "conv2d_backward_weight");
+      ASSERT_FALSE(HasFailure()) << "stride=" << cs.stride << " pad=" << cs.pad << " c=" << cs.c
+                                 << " h=" << cs.h << " w=" << cs.w << " poisoned=" << poisoned;
+    }
+}
+
+// relu's backward is the select x > 0 ? g : 0 for every x, NaN included,
+// whatever the gradient holds (NaN, -0 and +0 pass through unchanged).
+TEST(ReluBackward, BitEqualsTheBranchyLoop) {
+  rng gen{89};
+  std::vector<float> x{k_nan, -k_nan, 0.0f, -0.0f, k_inf, -k_inf, 1e-45f, -1e-45f};
+  std::vector<float> g{1.0f, 1.0f, 1.0f, 1.0f, -0.0f, 1.0f, k_nan, k_nan};
+  while (x.size() < 4099) {  // odd length: vector body plus a scalar tail
+    x.push_back(gen.bernoulli(0.05f) ? 0.0f : gen.uniform(-1.0f, 1.0f));
+    g.push_back(gen.bernoulli(0.05f) ? -0.0f : gen.uniform(-1.0f, 1.0f));
+  }
+  ad::graph gr;
+  const ad::node_id in = gr.add_input(vector_tensor(x));
+  const ad::node_id y = gr.add_transform(ad::make_relu(), {in});
+  gr.backward_from(y, vector_tensor(g));
+  std::vector<float> want(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] > 0.0f)
+      want[i] = g[i];
+    else
+      want[i] = 0.0f;
+  }
+  expect_same_bits(gr.adjoint(in), vector_tensor(want), "relu backward");
 }
 
 // Satellite: steady state performs zero allocations — the second identical
