@@ -47,7 +47,7 @@ inline void reference_gemm_bt(const float* a, const float* bt, float* out, std::
 // branch per element. reference_im2col expands one image [C,H,W] into
 // cols [C*KH*KW, OH*OW]; reference_col2im scatter-adds cols back in the
 // same (ci, ky, kx, y, x) order. With reference_gemm / reference_gemm_bt
-// they give the pre-PR conv forward and backward formulations that the
+// they give the earlier conv forward and backward formulations that the
 // conv-adjoint tests and bench_kernels compare against.
 inline void reference_im2col(const float* img, float* cols, std::int64_t c, std::int64_t h,
                              std::int64_t w, std::int64_t kh, std::int64_t kw,

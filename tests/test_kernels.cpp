@@ -508,7 +508,7 @@ tensor direct_conv2d_backward_input(const tensor& grad_out, const tensor& weight
   return grad_in;
 }
 
-// dL/dweight the pre-PR way: im2col per image, then the frozen transposed-B
+// dL/dweight the earlier way: im2col per image, then the frozen transposed-B
 // reference GEMM into one grad_w, images in batch order.
 tensor im2col_conv2d_backward_weight(const tensor& grad_out, const tensor& input,
                                      std::int64_t stride, std::int64_t pad,
