@@ -17,7 +17,9 @@
 // and the softmax row exponential on every supported kernel tier, next to
 // the libm loops they replaced, and the time of conv2d forward,
 // backward-input and backward-weight at the ResNet-56-sim shapes next to
-// the im2col + frozen reference GEMM formulation (bit-checked).
+// the im2col + frozen reference GEMM formulation (bit-checked), and the
+// time of one ViT-B/16-sim attention core through the fused attention ops
+// next to the primitive chain they replaced (bit-checked).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -37,6 +39,7 @@
 #include "tensor/rng.h"
 #include "tensor/scratch.h"
 #include "tensor/tensor.h"
+#include "tests/reference_attention.h"
 #include "tests/reference_kernels.h"
 
 namespace {
@@ -260,6 +263,53 @@ struct conv_reference {
 bool same_bits(const pelta::tensor& x, const pelta::tensor& y) {
   return x.same_shape(y) && std::memcmp(x.data().data(), y.data().data(),
                                         static_cast<std::size_t>(x.numel()) * sizeof(float)) == 0;
+}
+
+// The attention core of one ViT-B/16-sim block: q, k, v [B, 17, 32] with 4
+// heads of width 8, timed at batch 1 (one attack query) and 20 (a mean
+// serving batch).
+constexpr std::int64_t k_attention_tokens = 17;
+constexpr std::int64_t k_attention_dim = 32;
+constexpr std::int64_t k_attention_heads = 4;
+const std::int64_t k_attention_batches[] = {1, 20};
+
+// Microseconds per call, fused ops vs the frozen primitive chain.
+struct attention_result {
+  std::int64_t batch = 0;
+  std::int64_t nodes = 0, nodes_ref = 0;
+  double forward_us = 0, forward_ref_us = 0;
+  double forward_backward_us = 0, forward_backward_ref_us = 0;
+};
+
+// One attention core as a graph over input leaves q, k, v: the merged
+// output and, when `backward`, the q, k and v adjoints of <merged, seed>.
+struct attention_pass {
+  pelta::tensor merged, dq, dk, dv;
+  std::int64_t nodes = 0;
+};
+
+attention_pass run_attention(bool fused, const pelta::tensor& q, const pelta::tensor& k,
+                             const pelta::tensor& v, const pelta::tensor& seed, bool backward) {
+  using namespace pelta::ad;
+  graph g;
+  const node_id qn = g.add_input(q, "q");
+  const node_id kn = g.add_input(k, "k");
+  const node_id vn = g.add_input(v, "v");
+  const float scale =
+      1.0f / std::sqrt(static_cast<float>(k_attention_dim / k_attention_heads));
+  const reference::attention_nodes n =
+      fused ? reference::fused_attention(g, qn, kn, vn, k_attention_heads, scale)
+            : reference::reference_attention(g, qn, kn, vn, k_attention_heads, scale);
+  attention_pass out;
+  out.nodes = g.node_count();
+  out.merged = g.value(n.merged);
+  if (backward) {
+    g.backward_from(n.merged, seed);
+    out.dq = g.adjoint(qn);
+    out.dk = g.adjoint(kn);
+    out.dv = g.adjoint(vn);
+  }
+  return out;
 }
 
 }  // namespace
@@ -511,6 +561,57 @@ int main() {
               total.backward_input_ms, total.backward_input_ref_ms, total.backward_weight_ms,
               total.backward_weight_ref_ms);
 
+  // ---- attention core: fused ops vs the primitive chain ------------------
+  // Report-only timing; single thread, interleaved rounds, best of each.
+  // Graph construction is part of each call: it is the per-node cost the
+  // fused ops remove. Outputs and adjoints are bit-checked.
+  std::printf("\nattention core of a ViT-B/16-sim block (T=%lld, D=%lld, %lld heads), us per call "
+              "(fused ops vs the primitive chain):\n",
+              static_cast<long long>(k_attention_tokens), static_cast<long long>(k_attention_dim),
+              static_cast<long long>(k_attention_heads));
+  bool attention_bits_ok = true;
+  std::vector<attention_result> atresults;
+  {
+    pelta::serial_guard guard;
+    for (const std::int64_t b : k_attention_batches) {
+      const pelta::shape_t qkv_shape{b, k_attention_tokens, k_attention_dim};
+      const pelta::tensor q = pelta::tensor::randn(gen, qkv_shape);
+      const pelta::tensor k = pelta::tensor::randn(gen, qkv_shape);
+      const pelta::tensor v = pelta::tensor::randn(gen, qkv_shape);
+      const pelta::tensor seed = pelta::tensor::randn(gen, qkv_shape);
+      const attention_pass lib = run_attention(true, q, k, v, seed, true);
+      const attention_pass ref = run_attention(false, q, k, v, seed, true);
+      if (!same_bits(lib.merged, ref.merged) || !same_bits(lib.dq, ref.dq) ||
+          !same_bits(lib.dk, ref.dk) || !same_bits(lib.dv, ref.dv)) {
+        std::printf("!! batch %lld: fused attention differs from the primitive chain bitwise\n",
+                    static_cast<long long>(b));
+        attention_bits_ok = false;
+      }
+      constexpr int rounds = 15;
+      const std::int64_t reps = b == 1 ? 64 : 8;
+      attention_result r;
+      r.batch = b;
+      r.nodes = lib.nodes;
+      r.nodes_ref = ref.nodes;
+      const auto [fwd_ref_s, fwd_s] = time_ab(
+          rounds, reps, [&] { run_attention(false, q, k, v, seed, false); },
+          [&] { run_attention(true, q, k, v, seed, false); });
+      const auto [fb_ref_s, fb_s] = time_ab(
+          rounds, reps, [&] { run_attention(false, q, k, v, seed, true); },
+          [&] { run_attention(true, q, k, v, seed, true); });
+      r.forward_us = fwd_s * 1e6;
+      r.forward_ref_us = fwd_ref_s * 1e6;
+      r.forward_backward_us = fb_s * 1e6;
+      r.forward_backward_ref_us = fb_ref_s * 1e6;
+      atresults.push_back(r);
+      std::printf("  batch %-3lld %lld vs %lld nodes   forward %8.2f (chain %8.2f)   "
+                  "forward+backward %8.2f (chain %8.2f)\n",
+                  static_cast<long long>(b), static_cast<long long>(r.nodes),
+                  static_cast<long long>(r.nodes_ref), r.forward_us, r.forward_ref_us,
+                  r.forward_backward_us, r.forward_backward_ref_us);
+    }
+  }
+
   // Scratch-arena steady state: after a warm-up conv2d round trip, further
   // identical calls must perform zero allocations.
   std::size_t steady_allocs = 0;
@@ -610,6 +711,20 @@ int main() {
                     .field("backward_weight_ms", r.backward_weight_ms)
                     .field("backward_weight_ref_ms", r.backward_weight_ref_ms));
     }
+    pelta::bench::json attention = pelta::bench::json::array();
+    for (const attention_result& r : atresults) {
+      attention.push(pelta::bench::json::object()
+                         .field("batch", r.batch)
+                         .field("tokens", k_attention_tokens)
+                         .field("dim", k_attention_dim)
+                         .field("heads", k_attention_heads)
+                         .field("nodes", r.nodes)
+                         .field("nodes_ref", r.nodes_ref)
+                         .field("forward_us", r.forward_us)
+                         .field("forward_ref_us", r.forward_ref_us)
+                         .field("forward_backward_us", r.forward_backward_us)
+                         .field("forward_backward_ref_us", r.forward_backward_ref_us));
+    }
     pelta::bench::json::object()
         .field("bench", "kernels")
         .field("threads", 1)
@@ -620,6 +735,8 @@ int main() {
         .field("conv", conv)
         .field("conv_bits_match_reference", conv_bits_ok)
         .field("conv_arena_steady_state_allocations", steady_allocs)
+        .field("attention", attention)
+        .field("attention_bits_match_reference", attention_bits_ok)
         .field("two_largest_min_speedup", min_large_speedup)
         .field("speedup_threshold", threshold)
         .field("bits_match_reference", bits_ok)
@@ -629,7 +746,7 @@ int main() {
         .write_file("BENCH_kernels.json");
   }
 
-  bool ok = bits_ok && qbits_ok && conv_bits_ok && steady_allocs == 0;
+  bool ok = bits_ok && qbits_ok && conv_bits_ok && attention_bits_ok && steady_allocs == 0;
   if (threshold > 0 && min_large_speedup < threshold) {
     std::printf("FAIL: blocked kernel below %.1fx on the largest shapes\n", threshold);
     ok = false;

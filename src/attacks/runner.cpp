@@ -1,5 +1,6 @@
 #include "attacks/runner.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "tensor/parallel.h"
@@ -60,12 +61,25 @@ oracle_factory shielded_oracle_factory(const models::model& m) {
 std::vector<std::int64_t> correctly_classified_indices(const models::model& m,
                                                        const data::dataset& ds,
                                                        std::int64_t max_samples) {
-  const tensor preds = predict(m, ds.test_images());
+  // A row of predict() is the batch-1 prediction of its sample, so the
+  // predictions of a prefix are those of the whole split: predict prefixes
+  // of doubling length and stop as soon as enough candidates are found.
+  const tensor& images = ds.test_images();
+  const std::int64_t n = ds.test_size();
+  const std::int64_t per_image = n > 0 ? images.numel() / n : 0;
   std::vector<std::int64_t> out;
-  for (std::int64_t i = 0; i < ds.test_size() &&
-                           static_cast<std::int64_t>(out.size()) < max_samples;
-       ++i)
-    if (static_cast<std::int64_t>(preds[i]) == ds.test_label(i)) out.push_back(i);
+  for (std::int64_t lo = 0, len = std::max<std::int64_t>(max_samples, 1);
+       lo < n && static_cast<std::int64_t>(out.size()) < max_samples; lo += len, len *= 2) {
+    const std::int64_t hi = std::min(n, lo + len);
+    shape_t part_shape = images.shape();
+    part_shape[0] = hi - lo;
+    tensor part{std::move(part_shape)};
+    std::copy_n(images.data().begin() + lo * per_image, (hi - lo) * per_image,
+                part.data().begin());
+    const tensor preds = predict(m, part);
+    for (std::int64_t i = lo; i < hi && static_cast<std::int64_t>(out.size()) < max_samples; ++i)
+      if (static_cast<std::int64_t>(preds[i - lo]) == ds.test_label(i)) out.push_back(i);
+  }
   return out;
 }
 

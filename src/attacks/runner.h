@@ -61,7 +61,9 @@ struct robust_eval {
 };
 
 /// Indices of up to `max_samples` test samples the model classifies
-/// correctly (the paper's candidate pool; robust accuracy starts at 100%).
+/// correctly (the paper's candidate pool; robust accuracy starts at 100%),
+/// the first ones in index order. Only as long a prefix of the test split
+/// is predicted as it takes to find them.
 std::vector<std::int64_t> correctly_classified_indices(const models::model& m,
                                                        const data::dataset& ds,
                                                        std::int64_t max_samples);

@@ -157,43 +157,15 @@ public:
     PELTA_CHECK(in.size() == 1);
     const tensor& x = *in[0];
     PELTA_CHECK(x.ndim() >= 1);
-    const std::int64_t last = x.size(-1);
-    const auto row_len = static_cast<std::size_t>(last);
-    const std::int64_t rows = x.numel() / last;
     tensor out{x.shape()};
-    auto px = x.data();
-    auto po = out.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const float* xr = px.data() + r * last;
-      float* orow = po.data() + r * last;
-      float m = xr[0];
-      for (std::int64_t c = 1; c < last; ++c) m = std::max(m, xr[c]);
-      ops::exp_shifted({xr, row_len}, m, {orow, row_len});
-      double z = 0.0;
-      for (std::int64_t c = 0; c < last; ++c) z += orow[c];
-      const float inv = static_cast<float>(1.0 / z);
-      for (std::int64_t c = 0; c < last; ++c) orow[c] *= inv;
-    }
+    ops::softmax_rows(x.data(), out.data(), x.size(-1));
     return out;
   }
 
   std::vector<tensor> backward(const tensor& g, std::span<const tensor* const>,
                                const tensor& out) const override {
-    const std::int64_t last = out.size(-1);
-    const std::int64_t rows = out.numel() / last;
     tensor gx{out.shape()};
-    auto ps = out.data();
-    auto pg = g.data();
-    auto po = gx.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const float* s = ps.data() + r * last;
-      const float* gr = pg.data() + r * last;
-      float* orow = po.data() + r * last;
-      double dot = 0.0;
-      for (std::int64_t c = 0; c < last; ++c) dot += static_cast<double>(gr[c]) * s[c];
-      for (std::int64_t c = 0; c < last; ++c)
-        orow[c] = s[c] * (gr[c] - static_cast<float>(dot));
-    }
+    ops::softmax_rows_backward(out.data(), g.data(), gx.data(), out.size(-1));
     return {std::move(gx)};
   }
 };

@@ -2,8 +2,7 @@
 
 #include <cmath>
 
-#include "autodiff/ops_elementwise.h"
-#include "autodiff/ops_linalg.h"
+#include "autodiff/ops_attention.h"
 
 namespace pelta::nn {
 
@@ -27,29 +26,14 @@ ad::node_id multi_head_attention::apply(ad::graph& g, ad::node_id x) const {
   const ad::node_id k = k_.apply(g, x);
   const ad::node_id v = v_.apply(g, x);
 
-  std::vector<ad::node_id> head_outputs;
-  head_outputs.reserve(static_cast<std::size_t>(heads_));
-  for (std::int64_t h = 0; h < heads_; ++h) {
-    const auto tag = [&](const char* part) {
-      return name_ + "." + part + ".h" + std::to_string(h);
-    };
-    const ad::node_id qh = g.add_transform(ad::make_slice_lastdim(h * dh, dh), {q});
-    const ad::node_id kh = g.add_transform(ad::make_slice_lastdim(h * dh, dh), {k});
-    const ad::node_id vh = g.add_transform(ad::make_slice_lastdim(h * dh, dh), {v});
-    const ad::node_id kt = g.add_transform(ad::make_transpose_last2(), {kh});
-    const ad::node_id scores_raw = g.add_transform(ad::make_bmm(), {qh, kt});
-    const ad::node_id scores =
-        g.add_transform(ad::make_scale(inv_sqrt_dh), {scores_raw}, tag("scores"));
-    const ad::node_id probs =
-        g.add_transform(ad::make_softmax_lastdim(), {scores}, tag("softmax"));
-    head_outputs.push_back(g.add_transform(ad::make_bmm(), {probs, vh}, tag("context")));
-  }
-
-  ad::node_id merged;
-  if (heads_ == 1)
-    merged = head_outputs[0];
-  else
-    merged = g.add_transform(ad::make_concat_lastdim(), head_outputs, name_ + ".merge");
+  std::vector<ad::node_id> context_parents;
+  context_parents.reserve(static_cast<std::size_t>(heads_) + 1);
+  for (std::int64_t h = 0; h < heads_; ++h)
+    context_parents.push_back(g.add_transform(ad::make_attention_probs(h, heads_, inv_sqrt_dh),
+                                              {q, k}, name_ + ".softmax.h" + std::to_string(h)));
+  context_parents.push_back(v);
+  const ad::node_id merged =
+      g.add_transform(ad::make_attention_context(), std::move(context_parents), name_ + ".merge");
   return out_.apply(g, merged);
 }
 

@@ -1,9 +1,12 @@
-// Multi-head self-attention (Vaswani et al.) built from primitive graph ops.
+// Multi-head self-attention (Vaswani et al.) over the fused attention ops
+// (autodiff/ops_attention.h): after the q, k and v projections, one
+// attention_probs vertex per head and one attention_context vertex that
+// merges the heads, then the output projection.
 //
 // The per-head attention probability nodes are tagged
 // "<name>.softmax.h<k>" so the Self-Attention Gradient Attack (SAGA) can
 // read the attention weight matrices W^(att)_{l,i} of Eq. 4 from a clear
-// (non-shielded) region of the graph.
+// (non-shielded) region of the graph; the merged heads are "<name>.merge".
 #pragma once
 
 #include "nn/layers.h"

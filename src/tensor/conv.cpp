@@ -326,24 +326,29 @@ tensor conv2d_transpose(const tensor& input, const tensor& weight, std::int64_t 
   for (std::int64_t n = 0; n < b; ++n) {
     for (std::int64_t ci = 0; ci < c; ++ci) {
       for (std::int64_t y = 0; y < h; ++y) {
+        // Input pixel (y, x) lands on output rows oy0 + ky and columns
+        // ox0 + kx; the in-bounds taps are solved once per pixel, so the
+        // tap loops carry no bounds branch.
+        const std::int64_t oy0 = y * stride - pad;
+        const std::int64_t ky_lo = std::max<std::int64_t>(0, -oy0);
+        const std::int64_t ky_hi = std::min(kh, oh - oy0);
         for (std::int64_t x = 0; x < w; ++x) {
           const float v = in[((n * c + ci) * h + y) * w + x];
           if (v == 0.0f) continue;
+          const std::int64_t ox0 = x * stride - pad;
+          const std::int64_t kx_lo = std::max<std::int64_t>(0, -ox0);
+          const std::int64_t kx_hi = std::min(kw, ow - ox0);
           for (std::int64_t o = 0; o < oc; ++o) {
-            for (std::int64_t ky = 0; ky < kh; ++ky) {
-              const std::int64_t oy = y * stride - pad + ky;
-              if (oy < 0 || oy >= oh) continue;
-              float* out_row = op + ((n * oc + o) * oh + oy) * ow;
+            for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
+              float* out_row = op + ((n * oc + o) * oh + oy0 + ky) * ow;
               const float* wt_row = wt + ((ci * oc + o) * kh + ky) * kw;
-              for (std::int64_t kx = 0; kx < kw; ++kx) {
-                const std::int64_t ox = x * stride - pad + kx;
-                if (ox < 0 || ox >= ow) continue;
-                // detail::fmadd (R1): a raw `out += v * w` is exactly the
-                // contraction hazard the kernel policy exists for — on FMA
-                // targets -ffp-contract could fuse this path while the
-                // reference stays mul+add.
-                out_row[ox] = fmadd(v, wt_row[kx], out_row[ox]);
-              }
+              // detail::fmadd (R1): a raw `out += v * w` is exactly the
+              // contraction hazard the kernel policy exists for — on FMA
+              // targets -ffp-contract could fuse this path while the
+              // reference stays mul+add. Each output element still takes
+              // its terms in (ci, y, x) order.
+              for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx)
+                out_row[ox0 + kx] = fmadd(v, wt_row[kx], out_row[ox0 + kx]);
             }
           }
         }

@@ -27,6 +27,11 @@ namespace pelta::ops::detail {
 inline constexpr std::int64_t k_gemm_mr = 4;   // rows per register tile
 inline constexpr std::int64_t k_gemm_nr = 16;  // columns per register tile
 
+/// Below this many multiply-adds per call the pool submit overhead beats a
+/// split of a GEMM's rows or batch items (ops::matmul, ops::bmm, the fused
+/// attention ops).
+inline constexpr std::int64_t k_parallel_flops = 1 << 15;
+
 /// Single-rounding fused multiply-add where the ISA has it, separate
 /// mul+add where it does not — fixed at compile time. Every kernel path
 /// (full tiles, tails, packed edges) and the frozen reference kernels in

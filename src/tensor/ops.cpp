@@ -132,6 +132,42 @@ void exp_shifted(std::span<const float> x, float shift, std::span<float> out) {
                                           static_cast<std::int64_t>(out.size()));
 }
 
+void softmax_rows(std::span<const float> x, std::span<float> out, std::int64_t len) {
+  PELTA_CHECK_MSG(
+      x.size() == out.size() && len > 0 && out.size() % static_cast<std::size_t>(len) == 0,
+      "softmax_rows over " << x.size() << " -> " << out.size() << " in rows of " << len);
+  const auto row_len = static_cast<std::size_t>(len);
+  for (std::size_t r0 = 0; r0 < out.size(); r0 += row_len) {
+    const std::span<const float> xr = x.subspan(r0, row_len);
+    const std::span<float> orow = out.subspan(r0, row_len);
+    float m = xr[0];
+    for (std::size_t c = 1; c < row_len; ++c) m = std::max(m, xr[c]);
+    exp_shifted(xr, m, orow);
+    double z = 0.0;
+    for (float e : orow) z += e;
+    const float inv = static_cast<float>(1.0 / z);
+    for (float& e : orow) e *= inv;
+  }
+}
+
+void softmax_rows_backward(std::span<const float> s, std::span<const float> g,
+                           std::span<float> out, std::int64_t len) {
+  PELTA_CHECK_MSG(s.size() == g.size() && s.size() == out.size() && len > 0 &&
+                      out.size() % static_cast<std::size_t>(len) == 0,
+                  "softmax_rows_backward over " << s.size() << ", " << g.size() << " -> "
+                                                << out.size() << " in rows of " << len);
+  const auto row_len = static_cast<std::size_t>(len);
+  for (std::size_t r0 = 0; r0 < out.size(); r0 += row_len) {
+    const float* sr = s.data() + r0;
+    const float* gr = g.data() + r0;
+    float* orow = out.data() + r0;
+    double dot = 0.0;
+    for (std::size_t c = 0; c < row_len; ++c) dot += static_cast<double>(gr[c]) * sr[c];
+    const auto dotf = static_cast<float>(dot);
+    for (std::size_t c = 0; c < row_len; ++c) orow[c] = sr[c] * (gr[c] - dotf);
+  }
+}
+
 tensor gelu(const tensor& x) { return unary_kernel(x, detail::active_kernel_fns().gelu); }
 
 tensor gelu_backward(const tensor& g, const tensor& x) {
@@ -247,13 +283,7 @@ float dot(const tensor& a, const tensor& b) {
 namespace {
 
 using detail::gemm_accumulate;
-
-// Below this flop count the pool submit overhead beats the row split.
-constexpr std::int64_t k_parallel_flops = 1 << 15;
-
-}  // namespace
-
-namespace {
+using detail::k_parallel_flops;
 
 // The m rows of `a` (k = b.size(0) wide) times b [k, n], into a fresh
 // tensor of `out_shape`. Callers check the shapes.

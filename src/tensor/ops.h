@@ -2,7 +2,8 @@
 //
 // These free functions are the numeric backbone used by the autodiff ops;
 // they perform full shape checking and return fresh tensors, except
-// add_rows_ (in place) and exp_shifted (into the caller's row).
+// add_rows_ (in place), and exp_shifted and the softmax row routines (into
+// the caller's rows).
 #pragma once
 
 #include <functional>
@@ -52,6 +53,16 @@ tensor tanh(const tensor& a);
 /// out[i] = exp(x[i] - shift), the row exponential of softmax; out and x
 /// must have the same size.
 void exp_shifted(std::span<const float> x, float shift, std::span<float> out);
+/// Softmax of each len-wide row of x into out, which has the same size and
+/// may be x itself: the row maximum as shift, exp_shifted, a double sum and
+/// one float reciprocal multiply. The one row routine behind the softmax
+/// graph op and the fused attention probabilities (autodiff/ops_attention).
+void softmax_rows(std::span<const float> x, std::span<float> out, std::int64_t len);
+/// The softmax gradient per len-wide row: out = s * (g - <g, s>) for the
+/// probabilities s and their adjoint g, the dot product in double. out may
+/// be g itself.
+void softmax_rows_backward(std::span<const float> s, std::span<const float> g,
+                           std::span<float> out, std::int64_t len);
 /// GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
 tensor gelu(const tensor& x);
 /// g * d gelu(x) / dx, elementwise; g and x must have the same shape.

@@ -81,6 +81,37 @@ inline void reference_col2im(const float* cols, float* img, std::int64_t c, std:
           }
 }
 
+// ops::conv2d_transpose as it stood before its tap windows were solved per
+// input pixel: one bounds branch per tap. input [b, c, h, w], weight
+// [c, oc, kh, kw], out [b, oc, oh, ow] zeroed by the caller. Zero inputs
+// are skipped, so their taps never touch the weights.
+inline void reference_conv2d_transpose(const float* in, const float* wt, float* out,
+                                       std::int64_t b, std::int64_t c, std::int64_t h,
+                                       std::int64_t w, std::int64_t oc, std::int64_t kh,
+                                       std::int64_t kw, std::int64_t stride, std::int64_t pad) {
+  const std::int64_t oh = (h - 1) * stride - 2 * pad + kh;
+  const std::int64_t ow = (w - 1) * stride - 2 * pad + kw;
+  for (std::int64_t n = 0; n < b; ++n)
+    for (std::int64_t ci = 0; ci < c; ++ci)
+      for (std::int64_t y = 0; y < h; ++y)
+        for (std::int64_t x = 0; x < w; ++x) {
+          const float v = in[((n * c + ci) * h + y) * w + x];
+          if (v == 0.0f) continue;
+          for (std::int64_t o = 0; o < oc; ++o)
+            for (std::int64_t ky = 0; ky < kh; ++ky) {
+              const std::int64_t oy = y * stride - pad + ky;
+              if (oy < 0 || oy >= oh) continue;
+              float* out_row = out + ((n * oc + o) * oh + oy) * ow;
+              const float* wt_row = wt + ((ci * oc + o) * kh + ky) * kw;
+              for (std::int64_t kx = 0; kx < kw; ++kx) {
+                const std::int64_t ox = x * stride - pad + kx;
+                if (ox < 0 || ox >= ow) continue;
+                out_row[ox] = detail::fmadd(v, wt_row[kx], out_row[ox]);
+              }
+            }
+        }
+}
+
 // THE frozen int8 reference: the textbook i-k-j loop over UNPACKED operands
 // computing out[i][j] = sum_k (a_u8 - 128) * b_s8 in int32. It knows nothing
 // of the packed panel layout, the colsum compensation trick or the AVX2

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "attacks/runner.h"
+#include "models/mlp.h"
 #include "models/trainer.h"
 #include "models/zoo.h"
 #include "tensor/ops.h"
@@ -323,6 +324,41 @@ TEST(Runner, RespectsSampleBudget) {
   EXPECT_LE(idx.size(), 12u);
   for (std::int64_t i : idx)
     EXPECT_EQ(models::predict_one(*f.vit, f.ds.test_image(i)), f.ds.test_label(i));
+}
+
+TEST(Runner, CandidatesSkipAMisclassifiedPrefix) {
+  // The test split is class-major, and a model that always answers the last
+  // class gets every index before that class's block wrong: the candidates
+  // start deep into the split, past several prediction prefixes.
+  data::dataset_config dc;
+  dc.train_per_class = 1;
+  dc.test_per_class = 6;
+  const data::dataset ds{dc};
+  models::mlp_model constant{models::mlp_config{}};
+  nn::param_store& store = constant.params();
+  for (std::size_t i = 0; i < store.size(); ++i) store.at(i).value.fill_(0.0f);
+  tensor& head_bias = store.at(store.size() - 1).value;
+  ASSERT_EQ(head_bias.numel(), dc.classes);
+  head_bias[dc.classes - 1] = 1.0f;
+  const std::int64_t first = (dc.classes - 1) * dc.test_per_class;
+  EXPECT_EQ(correctly_classified_indices(constant, ds, 1), (std::vector<std::int64_t>{first}));
+  EXPECT_EQ(correctly_classified_indices(constant, ds, 4),
+            (std::vector<std::int64_t>{first, first + 1, first + 2, first + 3}));
+  EXPECT_EQ(correctly_classified_indices(constant, ds, 100).size(),
+            static_cast<std::size_t>(dc.test_per_class));
+  EXPECT_TRUE(correctly_classified_indices(constant, ds, 0).empty());
+
+  // An untrained model: the first correct ones of a whole-split prediction.
+  const models::mlp_model untrained{models::mlp_config{}};
+  const tensor preds = models::predict(untrained, ds.test_images());
+  for (const std::int64_t max_samples : {1, 3, 7, 100}) {
+    std::vector<std::int64_t> want;
+    for (std::int64_t i = 0;
+         i < ds.test_size() && static_cast<std::int64_t>(want.size()) < max_samples; ++i)
+      if (static_cast<std::int64_t>(preds[i]) == ds.test_label(i)) want.push_back(i);
+    EXPECT_EQ(correctly_classified_indices(untrained, ds, max_samples), want)
+        << "max_samples=" << max_samples;
+  }
 }
 
 TEST(Runner, AttackNames) {

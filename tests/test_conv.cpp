@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -9,6 +10,8 @@
 #include "tensor/conv.h"
 #include "tensor/kernels.h"  // detail::fmadd — the accumulation-policy reference
 #include "tensor/ops.h"
+
+#include "reference_kernels.h"
 
 namespace pelta {
 namespace {
@@ -169,6 +172,51 @@ TEST(ConvTranspose, FollowsTheFmaddPolicy) {
                   v, w.at(ci, o, ky, kx), expect.at(0, o, iy + ky, ix + kx));
       }
   for (std::int64_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], expect[i]);
+}
+
+TEST(ConvTranspose, MatchesTheFrozenReferenceBitwise) {
+  // The per-pixel tap windows must give the branchy loop's bits: padded,
+  // overlapping (stride < kernel), stride == kernel and a rectangular
+  // input whose padding cuts taps on every side. Inputs hold exact zeros
+  // and -0 (skipped, so a NaN weight behind them stays out of the output)
+  // and the weights hold NaN.
+  struct geometry {
+    std::int64_t b, c, h, w, oc, k, stride, pad;
+  };
+  const geometry cases[] = {
+      {2, 3, 5, 5, 2, 3, 1, 1},  // padded, same size
+      {1, 2, 4, 4, 3, 3, 2, 1},  // overlapping windows
+      {1, 4, 2, 2, 3, 4, 4, 0},  // stride == kernel (the ViT upsampler)
+      {2, 2, 3, 6, 2, 5, 2, 2},  // rectangular, wide padding
+  };
+  rng g{12};
+  for (const geometry& s : cases) {
+    tensor x = tensor::randn(g, {s.b, s.c, s.h, s.w});
+    tensor w = tensor::randn(g, {s.c, s.oc, s.k, s.k});
+    for (std::int64_t i = 0; i < x.numel(); i += 3) x[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+    w[0] = std::numeric_limits<float>::quiet_NaN();
+    w[w.numel() - 1] = std::numeric_limits<float>::quiet_NaN();
+    const tensor y = ops::conv2d_transpose(x, w, s.stride, s.pad);
+    tensor expect = tensor::zeros(y.shape());
+    ops::reference::reference_conv2d_transpose(x.data().data(), w.data().data(),
+                                               expect.data().data(), s.b, s.c, s.h, s.w, s.oc,
+                                               s.k, s.k, s.stride, s.pad);
+    ASSERT_EQ(y.shape(), expect.shape());
+    EXPECT_EQ(std::memcmp(y.data().data(), expect.data().data(),
+                          static_cast<std::size_t>(y.numel()) * sizeof(float)),
+              0)
+        << "geometry c=" << s.c << " " << s.h << "x" << s.w << " k=" << s.k
+        << " stride=" << s.stride << " pad=" << s.pad;
+  }
+  // An all-zero input touches no weight: the output is all +0.
+  const tensor zero_in = tensor::zeros({1, 2, 3, 3});
+  tensor nan_w = tensor::zeros({2, 2, 3, 3});
+  for (float& v : nan_w.data()) v = std::numeric_limits<float>::quiet_NaN();
+  const tensor zero_out = ops::conv2d_transpose(zero_in, nan_w, 2, 1);
+  for (float v : zero_out.data()) {
+    EXPECT_EQ(v, 0.0f);
+    EXPECT_FALSE(std::signbit(v));
+  }
 }
 
 TEST(MaxPool, ForwardAndIndices) {

@@ -64,6 +64,14 @@ TEST(LintScoping, KernelFilesGetTheAccumulationAndArenaRules) {
             (std::vector<std::string>{"R1", "R3", "R4", "R6"}));
 }
 
+TEST(LintScoping, FusedAttentionOpsOweTheAccumulationRule) {
+  // The fused attention ops gather heads around the GEMM kernels and must
+  // not add float terms of their own outside detail::fmadd; their scratch
+  // comes from the arena, but they are not an arena-governed kernel file.
+  EXPECT_EQ(pelta::lint::applicable_rules("src/autodiff/ops_attention.cpp"),
+            (std::vector<std::string>{"R1", "R3", "R4", "R6"}));
+}
+
 TEST(LintScoping, KernelTierBodiesGetTheKernelRules) {
   // The per-tier kernel loops owe the same rules as kernels.cpp, their caller.
   EXPECT_EQ(pelta::lint::applicable_rules("src/tensor/kernel_tier_impl.h"),

@@ -7,6 +7,7 @@
 
 #include "autodiff/gradcheck.h"
 #include "autodiff/graph.h"
+#include "autodiff/ops_attention.h"
 #include "autodiff/ops_conv.h"
 #include "autodiff/ops_elementwise.h"
 #include "autodiff/ops_linalg.h"
@@ -88,6 +89,16 @@ std::vector<op_case> all_cases() {
                    [] { return make_concat_lastdim(); },
                    {{2, 3, 2}, {2, 3, 3}},
                    {0, 1}});
+  // Fused attention: head 1 of 2 over [B=2, T=3, D=4], and a two-head
+  // merge whose probability parents are free (not softmax rows).
+  cases.push_back({"attention_probs",
+                   [] { return make_attention_probs(1, 2, 0.7f); },
+                   {{2, 3, 4}, {2, 3, 4}},
+                   {0, 1}});
+  cases.push_back({"attention_context",
+                   [] { return make_attention_context(); },
+                   {{2, 3, 3}, {2, 3, 3}, {2, 3, 4}},
+                   {0, 1, 2}});
   cases.push_back(
       {"prepend_token", [] { return make_prepend_token(); }, {{4}, {2, 3, 4}}, {0, 1}});
   cases.push_back({"slice_row", [] { return make_slice_row(1); }, {{2, 3, 4}}, {0}});

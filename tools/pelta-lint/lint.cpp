@@ -334,7 +334,7 @@ lhs_info read_lhs(const std::string& s, std::size_t op) {
 
 bool r1_applies(const std::string& p) {
   return p == "src/tensor/kernels.cpp" || p == "src/tensor/kernel_tier_impl.h" ||
-         p == "src/tensor/conv.cpp" ||
+         p == "src/tensor/conv.cpp" || p == "src/autodiff/ops_attention.cpp" ||
          p == "src/tensor/quantized_tensor.cpp" || p == "src/fl/aggregation.cpp" ||
          p == "src/fl/aggregation.h";
 }

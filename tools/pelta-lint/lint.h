@@ -18,7 +18,8 @@
 //
 //   R1  no raw float +=/-= accumulation in src/tensor/kernels.cpp,
 //       src/tensor/kernel_tier_impl.h (the per-tier kernel bodies),
-//       src/tensor/conv.cpp, src/fl/aggregation.cpp outside
+//       src/tensor/conv.cpp, src/autodiff/ops_attention.cpp (the fused
+//       attention ops), src/fl/aggregation.cpp outside
 //       detail::fmadd / double-widened (Kahan-class) accumulators.
 //       Loop-header stepping (for (...; ...; i += 4)) and integer or
 //       pointer arithmetic are recognized and allowed.
