@@ -20,17 +20,17 @@
 //      serves which request, every batch's membership and close stamp,
 //      which batches a kill aborts, when the autoscaler acts.
 //   2. cluster::run — executes the planned batches, one task per replica
-//      on the PR 6 pool primitives (submit_task), each replica with its
-//      OWN tee::enclave + enclave_session and the shared exec.h
-//      gather/scatter helpers. Replica tasks write disjoint result rows;
+//      on the pool's submit_task, each replica with its OWN tee::enclave +
+//      enclave_session, running its batches through exec::execute — the
+//      single server's executor. Replica tasks write disjoint result rows;
 //      order-sensitive totals commit in replica order after the join — so
 //      the report is bit-identical at every PELTA_THREADS, and every request's
 //      logits row is bit-identical to the single-server path (batch-size
-//      invariance + one shared gather/scatter code path).
+//      invariance + one shared executor).
 //
 // Routing LOAD is a plan-time model: requests routed to a replica and not
-// yet finished under the modeled batch cost (batch_setup_ns +
-// compute_ns_per_sample × size). Measured enclave charges are only known
+// yet finished under the modeled batch cost
+// (server_config::modeled_compute_ns). Measured enclave charges are only known
 // at execution and are deliberately excluded from routing — planning must
 // stay pure — and folded into the replica clocks when the plan executes.
 //

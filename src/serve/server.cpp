@@ -6,18 +6,9 @@
 
 #include "serve/exec.h"
 #include "shield/masked_view.h"
-#include "tensor/ops.h"
 #include "tensor/parallel.h"
 
 namespace pelta::serve {
-
-// gather_batch / scatter_batch / make_report_header moved to serve/exec.h:
-// the cluster runtime executes the same per-batch chain on every replica,
-// and sharing the helpers is what keeps cluster and single-server results
-// bit-identical — one code path, one bit layout.
-using exec::gather_batch;
-using exec::make_report_header;
-using exec::scatter_batch;
 
 // ---- backends ---------------------------------------------------------------
 
@@ -54,7 +45,9 @@ tensor quantized_backend::run_batch(const tensor& images, const std::vector<std:
 
 ensemble_backend::ensemble_backend(const models::random_selection_ensemble& ensemble,
                                    std::uint64_t seed, std::string key_prefix)
-    : ensemble_{&ensemble}, seed_{seed}, key_prefix_{std::move(key_prefix)} {
+    : members_{model_backend{ensemble.first(), key_prefix},
+               model_backend{ensemble.second(), key_prefix}},
+      seed_{seed} {
   PELTA_CHECK_MSG(ensemble.first().num_classes() == ensemble.second().num_classes(),
                   "ensemble members disagree on the class count");
 }
@@ -65,38 +58,34 @@ tensor ensemble_backend::run_batch(const tensor& images, const std::vector<std::
   PELTA_CHECK_MSG(static_cast<std::int64_t>(ids.size()) == b,
                   "ensemble_backend needs one request id per batch row");
   const std::int64_t stride = images.numel() / b;
+  const std::int64_t classes = num_classes();
   // Per-request member draw, forked by request id — stable no matter which
   // batch the request landed in.
   const std::array<std::vector<std::int64_t>, 2> member_rows =
       models::select_members(b, seed_, ids);
 
-  tensor logits{shape_t{b, num_classes()}};
+  tensor logits{shape_t{b, classes}};
   batch_stats total;
   for (std::size_t m = 0; m < 2; ++m) {
     const std::vector<std::int64_t>& rows = member_rows[m];
     if (rows.empty()) continue;
-    const models::model& member = m == 0 ? ensemble_->first() : ensemble_->second();
 
     shape_t sub_shape{static_cast<std::int64_t>(rows.size())};
     for (std::int64_t d = 1; d < images.ndim(); ++d) sub_shape.push_back(images.size(d));
     tensor sub{sub_shape};
-    for (std::size_t r = 0; r < rows.size(); ++r)
+    std::vector<std::int64_t> sub_ids;
+    sub_ids.reserve(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
       std::copy(images.data().begin() + rows[r] * stride,
                 images.data().begin() + (rows[r] + 1) * stride,
                 sub.data().begin() + static_cast<std::int64_t>(r) * stride);
+      sub_ids.push_back(ids[static_cast<std::size_t>(rows[r])]);
+    }
 
-    models::forward_pass fp = member.forward(sub, ad::norm_mode::eval);
-    const shield::masked_view view = shield::shield_batch(
-        fp.graph, member.shield_frontier_tags(), sink, key_prefix_ + member.name() + "/");
-    PELTA_CHECK_MSG(view.value_accessible(fp.logits),
-                    "shield frontier reached the logits of ensemble member '"
-                        << member.name() << "'; nothing left to serve");
-    total.masked_transforms +=
-        static_cast<std::int64_t>(view.report().masked_transforms.size());
-    total.shield_bytes += view.report().total_bytes();
-
-    const tensor& sub_logits = fp.graph.value(fp.logits);
-    const std::int64_t classes = num_classes();
+    batch_stats member_stats;
+    const tensor sub_logits = members_[m].run_batch(sub, sub_ids, sink, &member_stats);
+    total.masked_transforms += member_stats.masked_transforms;
+    total.shield_bytes += member_stats.shield_bytes;
     for (std::size_t r = 0; r < rows.size(); ++r)
       std::copy(sub_logits.data().begin() + static_cast<std::int64_t>(r) * classes,
                 sub_logits.data().begin() + static_cast<std::int64_t>(r + 1) * classes,
@@ -121,241 +110,26 @@ serving_report server::run(const std::vector<classify_request>& workload) {
     submit_ns[i] = workload[i].submit_ns;
     ids[i] = workload[i].id;
   }
-  return execute(workload, plan_batches(submit_ns, ids, config_.policy));
+  const batch_plan plan = plan_batches(submit_ns, ids, config_.policy);
+  std::vector<exec::batch_ref> batches;
+  batches.reserve(plan.batches.size());
+  for (std::size_t b = 0; b < plan.batches.size(); ++b) batches.push_back({b, &plan.batches[b]});
+
+  std::int64_t depth = config_.pipeline_depth;
+  if (depth <= 0)
+    depth = std::min<std::int64_t>(4, std::max<std::int64_t>(2, parallel_thread_count()));
+  serving_report report = exec::make_report_header(workload);
+  exec::executed done =
+      exec::execute(workload, batches, *backend_, session_, config_, depth, report.results);
+  report.batches = std::move(done.batches);
+  report.enclave_ns = done.enclave_ns;
+  report.hotcalls = done.hotcalls;
+  report.last_finish_ns = done.last_finish_ns;
+  return report;
 }
 
 serving_report server::drain() { return run(canonicalize(queue_.drain())); }
 
 serving_report server::drain_wait() { return run(canonicalize(queue_.wait_drain())); }
-
-serving_report server::execute(const std::vector<classify_request>& requests,
-                               const batch_plan& plan) {
-  std::int64_t depth = config_.pipeline_depth;
-  if (depth <= 0)
-    depth = std::min<std::int64_t>(4, std::max<std::int64_t>(2, parallel_thread_count()));
-  if (depth <= 1 || plan.batches.size() <= 1) return execute_sequential(requests, plan);
-  return execute_pipelined(requests, plan, depth);
-}
-
-serving_report server::execute_sequential(const std::vector<classify_request>& requests,
-                                          const batch_plan& plan) {
-  serving_report report = make_report_header(requests);
-  if (requests.empty()) return report;
-
-  const std::int64_t classes = backend_->num_classes();
-  double busy_until_ns = 0.0;
-
-  for (std::size_t b = 0; b < plan.batches.size(); ++b) {
-    const planned_batch& batch = plan.batches[b];
-    const std::int64_t size = static_cast<std::int64_t>(batch.members.size());
-
-    std::vector<std::int64_t> ids;
-    ids.reserve(batch.members.size());
-    for (std::size_t m : batch.members) ids.push_back(requests[m].id);
-    const tensor model_batch = gather_batch(requests, batch.members, config_);
-
-    // One forward + one shield application for the whole batch; the session
-    // meters exactly what this batch charged the TEE cost model. A backend
-    // throw (e.g. enclave capacity) must still close the accounting bracket
-    // or the session would wedge on the next batch.
-    session_.begin_batch();
-    shielded_backend::batch_stats stats;
-    tensor logits;
-    try {
-      logits = backend_->run_batch(model_batch, ids, session_.port(), &stats);
-    } catch (...) {
-      session_.end_batch();
-      throw;
-    }
-    const enclave_session::batch_charge charge = session_.end_batch();
-    PELTA_CHECK_MSG(logits.ndim() == 2 && logits.size(0) == size && logits.size(1) == classes,
-                    "backend returned logits " << to_string(logits.shape()) << " for batch of "
-                                               << size);
-
-    // Simulated-clock accounting: the server is a single pipeline — a batch
-    // starts when it closed AND the previous batch finished.
-    const double exec_start_ns = std::max(batch.close_ns, busy_until_ns);
-    const double compute_ns =
-        config_.batch_setup_ns + config_.compute_ns_per_sample * static_cast<double>(size);
-    const double finish_ns = exec_start_ns + charge.enclave_ns + compute_ns;
-    busy_until_ns = finish_ns;
-    report.last_finish_ns = finish_ns;
-    report.enclave_ns += charge.enclave_ns;
-    report.hotcalls += charge.hotcalls;
-
-    batch_record rec;
-    rec.request_ids = ids;
-    rec.close_ns = batch.close_ns;
-    rec.exec_start_ns = exec_start_ns;
-    rec.enclave_ns = charge.enclave_ns;
-    rec.compute_ns = compute_ns;
-    rec.hotcalls = charge.hotcalls;
-    report.batches.push_back(std::move(rec));
-
-    scatter_batch(report.results, requests, batch, b, logits, stats, charge, exec_start_ns,
-                  compute_ns, finish_ns);
-  }
-  return report;
-}
-
-serving_report server::execute_pipelined(const std::vector<classify_request>& requests,
-                                         const batch_plan& plan, std::int64_t depth) {
-  serving_report report = make_report_header(requests);
-  if (requests.empty()) return report;
-
-  const std::int64_t classes = backend_->num_classes();
-  double busy_until_ns = 0.0;
-  const std::size_t total = plan.batches.size();
-  report.batches.reserve(total);
-
-  // One slot per in-flight batch. `depth` gathers run ahead of the
-  // serialized enclave stage; the +1 spare lets the slot's previous
-  // occupant finish its scatter while the next gather is already needed.
-  struct slot {
-    std::size_t batch = 0;
-    task_future gather;
-    task_future scatter;
-    tensor model_batch;
-    tensor logits;
-    std::vector<std::int64_t> ids;
-    shielded_backend::batch_stats stats;
-    enclave_session::batch_charge charge;
-    double exec_start_ns = 0.0;
-    double compute_ns = 0.0;
-    double finish_ns = 0.0;
-  };
-  std::vector<slot> ring(std::min(static_cast<std::size_t>(depth) + 1, total));
-
-  // A failed stage stops the pipeline; after every in-flight task has
-  // retired, the error the strictly sequential chain would have hit first
-  // — smallest batch, earliest stage — is the one rethrown.
-  enum : int { gather_stage = 0, enclave_stage = 1, scatter_stage = 2 };
-  struct failure {
-    std::size_t batch;
-    int stage;
-    std::exception_ptr error;
-  };
-  std::vector<failure> failures;
-  const auto note = [&failures](std::size_t batch, int stage) {
-    failures.push_back({batch, stage, std::current_exception()});
-  };
-
-  const auto submit_gather = [&](std::size_t b) {
-    slot& s = ring[b % ring.size()];
-    s.batch = b;
-    s.gather = submit_task([this, &requests, &plan, &s] {
-      s.model_batch = gather_batch(requests, plan.batches[s.batch].members, config_);
-    });
-  };
-  std::size_t next_gather = std::min(static_cast<std::size_t>(depth), total);
-  for (std::size_t b = 0; b < next_gather; ++b) submit_gather(b);
-
-  for (std::size_t b = 0; b < total && failures.empty(); ++b) {
-    slot& s = ring[b % ring.size()];
-    const planned_batch& batch = plan.batches[b];
-    const std::int64_t size = static_cast<std::int64_t>(batch.members.size());
-    try {
-      s.gather.get();
-    } catch (...) {
-      note(b, gather_stage);
-      break;
-    }
-
-    s.ids.clear();
-    s.ids.reserve(batch.members.size());
-    for (std::size_t m : batch.members) s.ids.push_back(requests[m].id);
-
-    // The serialized stage: the session brackets must close even when the
-    // backend throws mid-pipeline, or the next batch (or the next run)
-    // would wedge on a dangling begin_batch.
-    session_.begin_batch();
-    try {
-      s.logits = backend_->run_batch(s.model_batch, s.ids, session_.port(), &s.stats);
-    } catch (...) {
-      session_.end_batch();
-      note(b, enclave_stage);
-      break;
-    }
-    s.charge = session_.end_batch();
-    try {
-      PELTA_CHECK_MSG(s.logits.ndim() == 2 && s.logits.size(0) == size &&
-                          s.logits.size(1) == classes,
-                      "backend returned logits " << to_string(s.logits.shape())
-                                                 << " for batch of " << size);
-    } catch (...) {
-      note(b, enclave_stage);
-      break;
-    }
-
-    // Commit strictly in batch order: the simulated single-pipeline clock,
-    // the session accounting and the batch records are identical to the
-    // sequential chain no matter how the wall stages overlapped.
-    s.exec_start_ns = std::max(batch.close_ns, busy_until_ns);
-    s.compute_ns =
-        config_.batch_setup_ns + config_.compute_ns_per_sample * static_cast<double>(size);
-    s.finish_ns = s.exec_start_ns + s.charge.enclave_ns + s.compute_ns;
-    busy_until_ns = s.finish_ns;
-    report.last_finish_ns = s.finish_ns;
-    report.enclave_ns += s.charge.enclave_ns;
-    report.hotcalls += s.charge.hotcalls;
-
-    batch_record rec;
-    rec.request_ids = s.ids;
-    rec.close_ns = batch.close_ns;
-    rec.exec_start_ns = s.exec_start_ns;
-    rec.enclave_ns = s.charge.enclave_ns;
-    rec.compute_ns = s.compute_ns;
-    rec.hotcalls = s.charge.hotcalls;
-    report.batches.push_back(std::move(rec));
-
-    s.scatter = submit_task([&report, &requests, &plan, &s] {
-      scatter_batch(report.results, requests, plan.batches[s.batch], s.batch, s.logits,
-                    s.stats, s.charge, s.exec_start_ns, s.compute_ns, s.finish_ns);
-    });
-
-    if (next_gather < total) {
-      slot& n = ring[next_gather % ring.size()];
-      // The slot's previous batch left the enclave long ago; only its
-      // scatter may still own the slot's tensors. Wait it out, then reuse.
-      if (n.scatter.valid()) {
-        try {
-          n.scatter.get();
-        } catch (...) {
-          note(n.batch, scatter_stage);
-          break;
-        }
-      }
-      submit_gather(next_gather++);
-    }
-  }
-
-  // Join every task still in flight — they touch slot and report memory —
-  // before the report (or an exception) leaves this frame.
-  for (slot& s : ring) {
-    if (s.gather.valid()) {
-      try {
-        s.gather.get();
-      } catch (...) {
-        note(s.batch, gather_stage);
-      }
-    }
-    if (s.scatter.valid()) {
-      try {
-        s.scatter.get();
-      } catch (...) {
-        note(s.batch, scatter_stage);
-      }
-    }
-  }
-  if (!failures.empty()) {
-    const auto first = std::min_element(failures.begin(), failures.end(),
-                                        [](const failure& a, const failure& b) {
-                                          return a.batch != b.batch ? a.batch < b.batch
-                                                                    : a.stage < b.stage;
-                                        });
-    std::rethrow_exception(first->error);
-  }
-  return report;
-}
 
 }  // namespace pelta::serve

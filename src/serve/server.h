@@ -4,8 +4,8 @@
 // batcher (batcher.h) coalesces them under a {max_batch, max_delay_ns}
 // policy; the server drives each batch through ONE forward pass and ONE
 // shield application of its backend — turning many concurrent requests
-// into few large GEMMs, which is where the blocked kernels (PR 4) and the
-// thread pool (PR 2) pay off — and scatters per-request results.
+// into few large GEMMs, which is where the blocked kernels and the thread
+// pool pay off — and scatters per-request results.
 //
 // Two clocks, deliberately separate:
 //   * the SIMULATED clock orders batches and prices latency (arrival
@@ -15,15 +15,15 @@
 //   * WALL-CLOCK throughput is measured outside, by bench/bench_serving,
 //     which gates batched >= serial wall throughput and >= 3x simulated.
 //
-// Wall execution is PIPELINED: up to `pipeline_depth` batches are in
-// flight at once, with gather/preprocess and scatter/argmax overlapping
-// across batches as pool tasks while the enclave forward+shield stage
-// stays serialized in batch order through the single enclave_session (it
-// is stateful — begin_batch/end_batch brackets never interleave). Results
-// are committed strictly in batch order (the replay-in-order rule
-// fl::federation::run_round also follows), so every report field is
-// bit-identical to the strictly sequential chain — only wall-clock
-// changes; the simulated-clock model is untouched.
+// server::run plans the batches and hands them to exec::execute (exec.h),
+// the one per-batch executor the cluster replicas run too. Wall execution
+// is pipelined: up to `pipeline_depth` gathers run ahead of the enclave
+// forward+shield stage, which stays serialized in batch order through the
+// single enclave_session (it is stateful — begin_batch/end_batch brackets
+// never interleave), and scatters trail behind it. Results commit strictly
+// in batch order (the replay-in-order rule fl::federation::run_round also
+// follows), so every report field is bit-identical at every depth and
+// thread count — only wall-clock changes.
 //
 // Determinism contract: batches execute in planned order, each request's
 // logits row is bit-identical to a batch-1 forward of that sample, work
@@ -33,6 +33,7 @@
 // composition, thread count, or wall-clock.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,21 +111,20 @@ private:
 
 /// Random-selection ensemble (MULDEF policy): each request's member is
 /// drawn from rng{seed}.fork(request id); the batch is partitioned by
-/// member and each member runs one batched forward + shield over its
-/// sub-batch.
+/// member and each member's model_backend runs one batched forward + shield
+/// over its sub-batch.
 class ensemble_backend final : public shielded_backend {
 public:
   ensemble_backend(const models::random_selection_ensemble& ensemble, std::uint64_t seed,
                    std::string key_prefix = "serve/");
 
-  std::int64_t num_classes() const override { return ensemble_->first().num_classes(); }
+  std::int64_t num_classes() const override { return members_[0].num_classes(); }
   tensor run_batch(const tensor& images, const std::vector<std::int64_t>& ids,
                    tee::secure_store& sink, batch_stats* stats) override;
 
 private:
-  const models::random_selection_ensemble* ensemble_;
+  std::array<model_backend, 2> members_;
   std::uint64_t seed_;
-  std::string key_prefix_;
 };
 
 struct server_config {
@@ -137,6 +137,12 @@ struct server_config {
   /// batching amortizes on the simulated clock.
   double batch_setup_ns = 1e6;
 
+  /// The modeled compute cost of one batch of `batch_size` requests: the
+  /// one price the executor, the cluster planner and the benches charge.
+  double modeled_compute_ns(std::int64_t batch_size) const {
+    return batch_setup_ns + compute_ns_per_sample * static_cast<double>(batch_size);
+  }
+
   /// Optional software-defense chain applied per request before batching;
   /// sample streams fork from the request id under `chain_seed`.
   const defenses::preprocessor_chain* chain = nullptr;
@@ -145,9 +151,10 @@ struct server_config {
   /// Max batches in flight in the wall-clock pipelined executor: gathers
   /// run up to this many batches ahead of the serialized enclave stage
   /// (bounding the gathered-tensor memory), scatters trail behind it.
-  /// 1 = the strictly sequential gather -> enclave -> scatter chain;
-  /// 0 picks an automatic depth from the thread count. Every depth yields
-  /// a bit-identical serving_report (enforced by tests/test_serve.cpp).
+  /// 1 = no gather ahead of the enclave stage (a batch's gather starts once
+  /// the previous batch left the enclave); 0 picks min(4, max(2, threads)).
+  /// Every depth yields a bit-identical serving_report (enforced by
+  /// tests/test_serve.cpp).
   std::int64_t pipeline_depth = 0;
 };
 
@@ -204,13 +211,6 @@ public:
   const server_config& config() const { return config_; }
 
 private:
-  serving_report execute(const std::vector<classify_request>& requests,
-                         const batch_plan& plan);
-  serving_report execute_sequential(const std::vector<classify_request>& requests,
-                                    const batch_plan& plan);
-  serving_report execute_pipelined(const std::vector<classify_request>& requests,
-                                   const batch_plan& plan, std::int64_t depth);
-
   shielded_backend* backend_;
   server_config config_;
   enclave_session session_;

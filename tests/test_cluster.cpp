@@ -370,6 +370,107 @@ TEST_F(ClusterTest, EveryLogitsRowMatchesTheSingleServerBitwise) {
   }
 }
 
+TEST_F(ClusterTest, SingleReplicaReportEqualsTheServerReport) {
+  const std::vector<double> stamps = serve::make_poisson_arrivals(40, 6e5, 43);
+  const std::vector<serve::classify_request> reqs = make_requests(40, stamps);
+  const serve::cluster_config config = base_config(1);
+
+  serve::model_backend backend{model_};
+  serve::cluster fleet{backend, config};
+  const serve::cluster_report got = fleet.run(reqs);
+
+  serve::model_backend single_backend{model_};
+  tee::enclave enclave;
+  serve::server single{single_backend, enclave, config.server};
+  const serve::serving_report want = single.run(reqs);
+
+  // One replica runs the server's schedule through the server's executor:
+  // every field, not just the logits, must agree exactly.
+  EXPECT_EQ(got.requests, want.requests);
+  EXPECT_EQ(got.first_submit_ns, want.first_submit_ns);
+  EXPECT_EQ(got.enclave_ns, want.enclave_ns);
+  EXPECT_EQ(got.hotcalls, want.hotcalls);
+  EXPECT_EQ(got.last_finish_ns, want.last_finish_ns);
+  ASSERT_EQ(got.results.size(), want.results.size());
+  for (std::size_t i = 0; i < want.results.size(); ++i) {
+    const serve::classify_result& g = got.results[i];
+    const serve::classify_result& w = want.results[i];
+    EXPECT_EQ(g.request_id, w.request_id) << "request " << i;
+    EXPECT_EQ(g.predicted, w.predicted) << "request " << i;
+    ASSERT_TRUE(bits_equal(g.logits, w.logits)) << "request " << i;
+    EXPECT_EQ(g.batch_index, w.batch_index) << "request " << i;
+    EXPECT_EQ(g.batch_size, w.batch_size) << "request " << i;
+    EXPECT_EQ(g.masked_transforms, w.masked_transforms) << "request " << i;
+    EXPECT_EQ(g.shield_bytes_batch, w.shield_bytes_batch) << "request " << i;
+    EXPECT_EQ(g.submit_ns, w.submit_ns) << "request " << i;
+    EXPECT_EQ(g.finish_ns, w.finish_ns) << "request " << i;
+    EXPECT_EQ(g.latency.queue_ns, w.latency.queue_ns) << "request " << i;
+    EXPECT_EQ(g.latency.batch_ns, w.latency.batch_ns) << "request " << i;
+    EXPECT_EQ(g.latency.enclave_ns, w.latency.enclave_ns) << "request " << i;
+    EXPECT_EQ(g.latency.compute_ns, w.latency.compute_ns) << "request " << i;
+  }
+  ASSERT_EQ(got.replicas.size(), 1u);
+  const serve::replica_report& rep = got.replicas.front();
+  EXPECT_EQ(rep.requests, want.requests);
+  EXPECT_EQ(rep.enclave_ns, want.enclave_ns);
+  EXPECT_EQ(rep.hotcalls, want.hotcalls);
+  EXPECT_EQ(rep.last_finish_ns, want.last_finish_ns);
+  ASSERT_EQ(rep.batches.size(), want.batches.size());
+  for (std::size_t b = 0; b < want.batches.size(); ++b) {
+    EXPECT_EQ(rep.batches[b].request_ids, want.batches[b].request_ids) << "batch " << b;
+    EXPECT_EQ(rep.batches[b].close_ns, want.batches[b].close_ns) << "batch " << b;
+    EXPECT_EQ(rep.batches[b].exec_start_ns, want.batches[b].exec_start_ns) << "batch " << b;
+    EXPECT_EQ(rep.batches[b].enclave_ns, want.batches[b].enclave_ns) << "batch " << b;
+    EXPECT_EQ(rep.batches[b].compute_ns, want.batches[b].compute_ns) << "batch " << b;
+    EXPECT_EQ(rep.batches[b].hotcalls, want.batches[b].hotcalls) << "batch " << b;
+  }
+}
+
+// A backend that fails every batch holding one chosen request id. It keeps
+// no per-call state, so replicas may share it across threads.
+class poisoned_backend final : public serve::shielded_backend {
+public:
+  poisoned_backend(serve::shielded_backend& inner, std::int64_t poison_id)
+      : inner_{&inner}, poison_id_{poison_id} {}
+
+  std::int64_t num_classes() const override { return inner_->num_classes(); }
+  tensor run_batch(const tensor& images, const std::vector<std::int64_t>& ids,
+                   tee::secure_store& sink, batch_stats* stats) override {
+    if (std::find(ids.begin(), ids.end(), poison_id_) != ids.end())
+      throw error{"injected replica backend failure"};
+    return inner_->run_batch(images, ids, sink, stats);
+  }
+
+private:
+  serve::shielded_backend* inner_;
+  std::int64_t poison_id_;
+};
+
+TEST_F(ClusterTest, ReplicaBackendThrowFailsTheRunAndLeavesTheClusterServiceable) {
+  const std::vector<double> stamps = serve::make_poisson_arrivals(48, 5e5, 53);
+  const std::vector<serve::classify_request> reqs = make_requests(48, stamps);
+  const serve::cluster_config config = base_config(3);
+  const std::size_t poison = 29;
+
+  serve::model_backend inner{model_};
+  poisoned_backend backend{inner, reqs[poison].id};
+  serve::cluster fleet{backend, config};
+  EXPECT_THROW(fleet.run(reqs), error);
+  {
+    serial_guard guard;  // every replica task runs inline on this thread
+    EXPECT_THROW(fleet.run(reqs), error);
+  }
+
+  // The failed runs leave nothing behind: the same cluster's next run
+  // equals a fresh cluster's on the workload without the poisoned request.
+  std::vector<serve::classify_request> clean = reqs;
+  clean.erase(clean.begin() + static_cast<std::ptrdiff_t>(poison));
+  const serve::cluster_report after = fleet.run(clean);
+  serve::model_backend fresh_backend{model_};
+  serve::cluster fresh{fresh_backend, config};
+  expect_cluster_reports_identical(after, fresh.run(clean));
+}
+
 TEST_F(ClusterTest, ChaosRunServesEveryRequestExactlyOnce) {
   const std::vector<double> stamps = serve::make_poisson_arrivals(60, 4e5, 37);
   const std::vector<serve::classify_request> reqs = make_requests(60, stamps);
