@@ -25,7 +25,12 @@ float loss_and_grad_sharded(model& m, const data::batch& b, std::int64_t shards)
   if (shards == 1) return loss_and_grad(m, b);
 
   const std::int64_t c = b.images.size(1), h = b.images.size(2), w = b.images.size(3);
-  std::vector<ad::graph> graphs(static_cast<std::size_t>(shards));
+  // Each shard keeps only its parameter adjoints. Its graph (activations and
+  // every other adjoint) is freed inside the task, by the thread that built
+  // it, so no thread's allocator ever holds more than one shard graph and
+  // peak memory does not depend on which thread ran which shard.
+  std::vector<std::vector<std::pair<ad::parameter*, tensor>>> shard_grads(
+      static_cast<std::size_t>(shards));
   std::vector<float> shard_losses(static_cast<std::size_t>(shards), 0.0f);
 
   parallel_for(shards, [&](std::int64_t s) {
@@ -46,13 +51,17 @@ float loss_and_grad_sharded(model& m, const data::batch& b, std::int64_t shards)
     // Seed with the shard's weight so the merged gradient is the batch mean.
     fp.graph.backward_from(loss, tensor::scalar(frac));
     shard_losses[static_cast<std::size_t>(s)] = fp.graph.value(loss).item() * frac;
-    graphs[static_cast<std::size_t>(s)] = std::move(fp.graph);
+    for (const auto& [param, adjoint] : fp.graph.param_adjoints())
+      shard_grads[static_cast<std::size_t>(s)].emplace_back(param, *adjoint);
   });
 
-  // Merge in shard order: deterministic regardless of thread scheduling.
+  // Merge in shard order, each shard's adjoints in graph node order (what
+  // graph::accumulate_param_grads does): deterministic regardless of thread
+  // scheduling.
   double total_loss = 0.0;
   for (std::int64_t s = 0; s < shards; ++s) {
-    graphs[static_cast<std::size_t>(s)].accumulate_param_grads();
+    for (const auto& [param, adjoint] : shard_grads[static_cast<std::size_t>(s)])
+      param->grad.add_(adjoint);
     total_loss += shard_losses[static_cast<std::size_t>(s)];
   }
   return static_cast<float>(total_loss);
